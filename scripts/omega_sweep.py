@@ -6,11 +6,11 @@ Usage: python scripts/omega_sweep.py [--omegas 0.5 1 2 10] [--csv out.csv]
 """
 
 import argparse
-import csv
+from pathlib import Path
 
 from dpnls.params import Params
-from dpnls.groundstate import solve_ground_state
-from dpnls.stability import classify
+from dpnls.stability import omega_sweep
+from dpnls.cli import write_csv
 
 
 def main():
@@ -25,25 +25,20 @@ def main():
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 
-    rows = []
+    params = Params(args.N, args.a, args.b, args.p, args.q, args.omegas[0])
+    rows = omega_sweep(params, args.omegas)
     print(f"{'omega':>8} {'amplitude':>12} {'S':>12} {'E':>12} "
           f"{'d2s':>12}  criterion")
-    for w in args.omegas:
-        params = Params(args.N, args.a, args.b, args.p, args.q, w)
-        gs = solve_ground_state(params)
-        rep = classify(gs)
-        tag = "met" if rep.criterion_met else "not met"
-        print(f"{w:8.3f} {gs.amplitude:12.6f} {gs.report.action:12.6f} "
-              f"{rep.energy:12.6f} {rep.d2s:12.6f}  {tag}")
-        rows.append({"omega": w, "amplitude": gs.amplitude,
-                     "action": gs.report.action, "energy": rep.energy,
-                     "d2s": rep.d2s, "criterion_met": rep.criterion_met})
+    for row in rows:
+        tag = row["status"]
+        if tag == "ok":
+            tag = "met" if row["criterion_met"] else "not met"
+        print(f"{row['omega']:8.3f} {row['amplitude']:12.6f} "
+              f"{row['action']:12.6f} {row['energy']:12.6f} "
+              f"{row['d2s']:12.6f}  {tag}")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(Path(args.csv), list(rows[0]), rows)
         print(f"wrote {args.csv}")
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: solve, classify, blowup and lemma-verification runs.
 
 Commands read a JSON config of nested sections and write CSV/JSON results
-into the output directory.  Runs with a fixed seed are deterministic; a
+into the output directory.  A key the config schema does not name is a
+config error.  Runs with a fixed seed are deterministic; a
 timestamp line in the summary can be suppressed with --no-timestamp for
 byte-identical reruns.
 """
@@ -12,18 +13,19 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .params import Params, PeriodicGrid, RadialGrid
+from .params import ERRORS, Params, PeriodicGrid, PreconditionError, RadialGrid
 from .functionals import functionals
 from .groundstate import default_grid, solve_ground_state
-from .stability import classify, make_scaled_data
+from .stability import make_scaled_data, omega_sweep
 from .evolution import (
     EvolutionConfig,
+    TraceRecord,
     b_omega_invariance_audit,
     concavity_audit,
     evolve,
@@ -31,6 +33,35 @@ from .evolution import (
     virial_check,
 )
 from . import lemma_lab
+
+
+#: The keys each config section may hold; ``None`` marks a plain value.
+CONFIG_KEYS = {
+    "params": ("N", "a", "b", "p", "q", "omega"),
+    "grid": ("rmax", "n"),
+    "solver": ("tol",),
+    "evolution": ("length", "m", "dt", "t_max", "blowup_grad_factor",
+                  "blowup_amp_factor", "cfl_shrink", "record_every"),
+    "sweeps": ("omegas", "lambdas"),
+    "lemma": ("pairs", "lambda_points", "samples"),
+    "seed": None,
+    "out": None,
+}
+
+
+def _check_keys(raw: dict):
+    """Raise ValueError naming the first key CONFIG_KEYS does not list."""
+    for section, value in raw.items():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {section!r}")
+        allowed = CONFIG_KEYS[section]
+        if allowed is None:
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        for key in value:
+            if key not in allowed:
+                raise ValueError(f"unknown config key {section}.{key!r}")
 
 
 @dataclass
@@ -51,6 +82,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         raw = json.loads(Path(path).read_text())
+        _check_keys(raw)
         p = raw["params"]
         params = Params(int(p["N"]), float(p["a"]), float(p["b"]),
                         float(p["p"]), float(p["q"]), float(p["omega"]))
@@ -119,9 +151,8 @@ def write_summary(path: Path, record: dict, timestamp: bool):
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _solve(cfg: ExperimentConfig, params: Params | None = None):
-    params = params or cfg.params
-    return solve_ground_state(params, cfg.radial_grid(), cfg.solver_tol)
+def _solve(cfg: ExperimentConfig):
+    return solve_ground_state(cfg.params, cfg.radial_grid(), cfg.solver_tol)
 
 
 def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
@@ -146,20 +177,8 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.omegas:
         print("classify: empty omega sweep", file=sys.stderr)
         return 2
-    rows = []
-    for w in cfg.omegas:
-        row = {"omega": w, "d2s": float("nan"), "energy": float("nan"),
-               "criterion_met": False, "status": "ok"}
-        try:
-            gs = _solve(cfg, cfg.params.with_omega(w))
-            rep = classify(gs)
-            row.update(d2s=rep.d2s, energy=rep.energy,
-                       criterion_met=rep.criterion_met)
-            if not rep.remark13_consistent:
-                row["status"] = "identity-check-failed"
-        except Exception as exc:  # failure isolation: keep sweeping
-            row["status"] = f"error: {exc}"
-        rows.append(row)
+    rows = omega_sweep(cfg.params, cfg.omegas, cfg.radial_grid(),
+                       cfg.solver_tol)
     write_csv(out / "classify.csv",
               ["omega", "d2s", "energy", "criterion_met", "status"], rows)
     n_bad = sum(r["status"] != "ok" for r in rows)
@@ -168,8 +187,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     return 0
 
 
-TRACE_HEADER = ["t", "mass", "energy", "action", "nehari", "virial_q",
-                "grad_norm_sq", "variance", "sup_amp"]
+TRACE_HEADER = [f.name for f in fields(TraceRecord)]
 
 
 def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
@@ -199,7 +217,7 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
                       [rec.as_record() for rec in verdict.trace])
             if verdict.inconclusive:
                 entry["status"] = "inconclusive"
-        except Exception as exc:
+        except ERRORS as exc:
             entry["status"] = f"error: {exc}"
         verdicts.append(entry)
     write_summary(out / "blowup_summary.json", {"runs": verdicts}, timestamp)
@@ -230,7 +248,7 @@ def cmd_verify_lemma(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         rep = functionals(prof, cfg.params)
         try:
             lemma_lab.check_hypotheses(rep, gs)
-        except Exception:
+        except PreconditionError:
             continue
         chk = lemma_lab.key_estimate_check(rep, gs)
         kept += 1

@@ -1,10 +1,12 @@
-"""Time evolution of the double-power NLS and blowup detection.
+"""Time evolution of the double-power NLS on the line and blowup detection.
 
-Strang splitting: half-step exact nonlinear phase rotation, full linear
-step by the exact spectral propagator (periodic 1D) or a Crank-Nicolson
-radial Laplacian (N >= 2), half-step nonlinear.  The modulus is invariant
-under the nonlinear flow, so that substep is exact; the spectral linear
-step is unitary, so mass is conserved to roundoff in 1D.
+Evolution runs on a periodic 1D grid only; ground states of any dimension
+N come from ``groundstate``, and ``stability`` embeds N = 1 profiles on the
+line.  Strang splitting: half-step exact nonlinear phase rotation, full
+linear step by the exact spectral propagator exp(-i k^2 dt), half-step
+nonlinear.  The modulus is invariant under the nonlinear flow, so that
+substep is exact; the linear step is unitary, so mass is conserved to
+roundoff.
 
 Finite-time blowup cannot be followed to T_max; it is detected by proxy
 thresholds (gradient-norm growth, amplitude growth) with a resolution
@@ -17,16 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
-from .params import (
-    ComplexField,
-    Params,
-    PeriodicGrid,
-    RadialGrid,
-)
-from .functionals import integrate_radial, raw_norms, report_from_norms
+from .params import ComplexField, MembershipError, Params, PeriodicGrid
+from .functionals import raw_norms, report_from_norms
 from .groundstate import GroundStateResult
 
 
@@ -80,21 +75,11 @@ class BlowupVerdict:
         return self.reason in ("resolution", "numerical")
 
 
-def _field(grid, u: np.ndarray, dim: int) -> ComplexField:
-    if isinstance(grid, PeriodicGrid):
-        return ComplexField(grid, u.copy())
-    return ComplexField(grid, u.copy(), dim=dim)
-
-
-def _record(t: float, u: np.ndarray, grid, params: Params, dim: int) -> TraceRecord:
-    if isinstance(grid, PeriodicGrid):
-        fld = ComplexField(grid, u)
-        x = grid.x
-        var = float(np.sum(x ** 2 * np.abs(u) ** 2) * grid.spacing)
-    else:
-        fld = ComplexField(grid, u, dim=dim)
-        r = grid.r
-        var = integrate_radial(grid, r ** 2 * np.abs(u) ** 2, dim)
+def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
+            params: Params) -> TraceRecord:
+    fld = ComplexField(grid, u)
+    x = grid.x
+    var = float(np.sum(x ** 2 * np.abs(u) ** 2) * grid.spacing)
     rep = report_from_norms(*raw_norms(fld, params), params)
     return TraceRecord(t, rep.mass, rep.energy, rep.action, rep.nehari,
                        rep.virial, rep.grad, var, float(np.max(np.abs(u))))
@@ -134,72 +119,15 @@ class _SpectralStepper:
         return float(np.max(uh[band]) / peak) if peak > 0 else 0.0
 
 
-class _CrankNicolsonStepper:
-    """Radial Laplacian step, conservative flux form, Neumann at 0 and
-    Dirichlet at rmax; symmetric in the r^{N-1} weight so the step is
-    unitary in the discrete L^2 norm."""
-
-    def __init__(self, grid: RadialGrid, dim: int):
-        self.grid = grid
-        self.dim = dim
-        h = grid.spacing
-        r = grid.r
-        # finite-volume weights: cell volume / h, exact for the r^{dim-1} weight
-        rp_edge = r + h / 2.0
-        rm_edge = np.maximum(r - h / 2.0, 0.0)
-        w = (rp_edge ** dim - rm_edge ** dim) / (dim * h)
-        rp = rp_edge ** (dim - 1)
-        rm = rm_edge ** (dim - 1)
-        lower = rm[1:] / (w[1:] * h ** 2)
-        upper = rp[:-1] / (w[:-1] * h ** 2)
-        main = -(rp + rm) / (w * h ** 2)
-        # Dirichlet boundary: freeze the last node at zero
-        lower = lower.copy()
-        lower[-1] = 0.0
-        main[-1] = 0.0
-        self.lap = diags([lower, main, upper], offsets=[-1, 0, 1], format="csc")
-        self.weights = w
-        self._dt = None
-        self._lu = None
-        self._rhs_mat = None
-
-    def linear(self, u, dt):
-        if dt != self._dt:
-            from scipy.sparse import identity
-            ident = identity(self.grid.n, format="csc", dtype=complex)
-            a_mat = (ident - 0.5j * dt * self.lap).tocsc()
-            self._rhs_mat = (ident + 0.5j * dt * self.lap).tocsc()
-            self._lu = splu(a_mat)
-            self._dt = dt
-        v = self._rhs_mat @ u
-        v[-1] = 0.0
-        out = self._lu.solve(v)
-        out[-1] = 0.0
-        return out
-
-    def grad_sq(self, u):
-        d = np.gradient(u, self.grid.spacing, edge_order=2)
-        return integrate_radial(self.grid, np.abs(d) ** 2, self.dim)
-
-    def tail_fraction(self, u):
-        peak = np.max(np.abs(u))
-        edge = np.max(np.abs(u[-max(2, self.grid.n // 50):]))
-        return float(edge / peak) if peak > 0 else 0.0
-
-
 def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerdict:
     """Advance the NLS from u0, recording a trace and watching for blowup."""
     grid = u0.grid
-    dim = getattr(u0, "dim", 1)
-    if isinstance(grid, PeriodicGrid):
-        stepper = _SpectralStepper(grid)
-    else:
-        stepper = _CrankNicolsonStepper(grid, dim)
+    stepper = _SpectralStepper(grid)
 
     u = np.array(u0.values, dtype=complex)
     t = 0.0
     dt = cfg.dt
-    trace = [_record(t, u, grid, params, dim)]
+    trace = [_record(t, u, grid, params)]
     grad0 = max(np.sqrt(trace[0].grad_norm_sq), 1e-300)
     amp0 = max(trace[0].sup_amp, 1e-300)
     if amp0 <= 1e-300:
@@ -207,11 +135,11 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         step_t = cfg.dt * cfg.record_every
         while t < cfg.t_max - 1e-12:
             t = min(t + step_t, cfg.t_max)
-            trace.append(_record(t, u, grid, params, dim))
-        return BlowupVerdict(False, None, None, trace, _field(grid, u, dim))
+            trace.append(_record(t, u, grid, params))
+        return BlowupVerdict(False, None, None, trace, ComplexField(grid, u))
 
     if stepper.tail_fraction(u) > cfg.tail_fraction:
-        return BlowupVerdict(False, 0.0, "resolution", trace, _field(grid, u, dim))
+        return BlowupVerdict(False, 0.0, "resolution", trace, ComplexField(grid, u))
 
     step = 0
     while t < cfg.t_max - 1e-12:
@@ -230,28 +158,28 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             return BlowupVerdict(False, t, "numerical", trace, None)
 
         if step % cfg.record_every == 0:
-            trace.append(_record(t, u, grid, params, dim))
+            trace.append(_record(t, u, grid, params))
 
         if amp > cfg.blowup_amp_factor * amp0:
+            reason = "amplitude"
+        elif np.sqrt(stepper.grad_sq(u)) > cfg.blowup_grad_factor * grad0:
+            reason = "gradient"
+        elif stepper.tail_fraction(u) > cfg.tail_fraction:
+            reason = "resolution"
+        else:
+            reason = None
+        if reason is not None:
             if step % cfg.record_every != 0:
-                trace.append(_record(t, u, grid, params, dim))
-            return BlowupVerdict(True, t, "amplitude", trace, _field(grid, u, dim))
-        grad = np.sqrt(stepper.grad_sq(u))
-        if grad > cfg.blowup_grad_factor * grad0:
-            if step % cfg.record_every != 0:
-                trace.append(_record(t, u, grid, params, dim))
-            return BlowupVerdict(True, t, "gradient", trace, _field(grid, u, dim))
-        if stepper.tail_fraction(u) > cfg.tail_fraction:
-            if step % cfg.record_every != 0:
-                trace.append(_record(t, u, grid, params, dim))
-            return BlowupVerdict(False, t, "resolution", trace, _field(grid, u, dim))
+                trace.append(_record(t, u, grid, params))
+            return BlowupVerdict(reason != "resolution", t, reason, trace,
+                                 ComplexField(grid, u))
 
         if cfg.adaptive and amp > 1.02 * prev_amp:
             dt = max(dt * cfg.cfl_shrink, cfg.dt_min)
 
     if trace[-1].t < t - 1e-12:
-        trace.append(_record(t, u, grid, params, dim))
-    return BlowupVerdict(False, None, None, trace, _field(grid, u, dim))
+        trace.append(_record(t, u, grid, params))
+    return BlowupVerdict(False, None, None, trace, ComplexField(grid, u))
 
 
 def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
@@ -266,35 +194,36 @@ def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
     return list(trace[:end])
 
 
-def _uniform_cadence(times: np.ndarray) -> float:
-    dts = np.diff(times)
-    if dts.size == 0 or np.any(dts <= 0):
+def _variance_series(trace: list[TraceRecord],
+                     min_records: int) -> tuple[float, np.ndarray]:
+    """(record spacing, variance samples) of a uniformly recorded trace."""
+    if len(trace) < min_records:
+        raise ValueError(f"need at least {min_records} records")
+    dts = np.diff(np.array([rec.t for rec in trace]))
+    if np.any(dts <= 0):
         raise ValueError("need increasing record times")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0] + 1e-14:
         raise ValueError("trace cadence is not uniform")
-    return float(dts[0])
+    return float(dts[0]), np.array([rec.variance for rec in trace])
+
+
+def _variance_d2(trace: list[TraceRecord]) -> np.ndarray:
+    """d^2/dt^2 of the variance by central second differences."""
+    dt, var = _variance_series(trace, 5)
+    return (var[:-2] - 2 * var[1:-1] + var[2:]) / dt ** 2
 
 
 def virial_check(trace: list[TraceRecord]) -> float:
     """Worst normalized mismatch between d^2/dt^2 ||xu||^2 and 8 Q(u)."""
-    if len(trace) < 5:
-        raise ValueError("need at least 5 records")
-    times = np.array([rec.t for rec in trace])
-    dt = _uniform_cadence(times)
-    var = np.array([rec.variance for rec in trace])
+    d2 = _variance_d2(trace)
     q8 = 8.0 * np.array([rec.virial_q for rec in trace])
-    d2 = (var[:-2] - 2 * var[1:-1] + var[2:]) / dt ** 2
     denom = np.maximum(1.0, np.abs(q8[1:-1]))
     return float(np.max(np.abs(d2 - q8[1:-1]) / denom))
 
 
 def variance_third_difference(trace: list[TraceRecord]) -> float:
     """Max |third finite difference of variance| / dt^3 (0 for quadratic)."""
-    if len(trace) < 4:
-        raise ValueError("need at least 4 records")
-    times = np.array([rec.t for rec in trace])
-    dt = _uniform_cadence(times)
-    var = np.array([rec.variance for rec in trace])
+    dt, var = _variance_series(trace, 4)
     d3 = np.diff(var, n=3) / dt ** 3
     return float(np.max(np.abs(d3)))
 
@@ -312,7 +241,7 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
                  first.nehari, first.virial_q)
     if not (u0_checks[0] < 0 and u0_checks[1] <= 1e-6 * ref.mass
             and u0_checks[2] < 0 and u0_checks[3] < 0):
-        raise ValueError("run did not start inside the blowup set")
+        raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
     scale = max(1.0, abs(ref.action))
     for rec in verdict.trace:
@@ -333,11 +262,6 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
 def concavity_audit(trace: list[TraceRecord], gs: GroundStateResult,
                     tol: float = 1e-2) -> bool:
     """Second difference of the variance stays below 16 (S(u0) - S(phi))."""
-    if len(trace) < 5:
-        raise ValueError("need at least 5 records")
-    times = np.array([rec.t for rec in trace])
-    dt = _uniform_cadence(times)
-    var = np.array([rec.variance for rec in trace])
-    d2 = (var[:-2] - 2 * var[1:-1] + var[2:]) / dt ** 2
+    d2 = _variance_d2(trace)
     bound = 16.0 * (trace[0].action - gs.report.action)
     return bool(np.all(d2 <= bound + tol * max(1.0, abs(bound))))

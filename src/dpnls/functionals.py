@@ -19,7 +19,7 @@ from .params import (
     ComplexField,
     InvalidStateError,
     Params,
-    PeriodicGrid,
+    PreconditionError,
     RadialGrid,
     RadialProfile,
     ResolutionError,
@@ -36,10 +36,6 @@ def sphere_area(N: int) -> float:
     return 2.0 * pi ** (N / 2.0) / gamma(N / 2.0)
 
 
-def _radial_dim(state: State) -> int:
-    return 1 if isinstance(state, RadialProfile) else state.dim
-
-
 def integrate_radial(grid: RadialGrid, samples: np.ndarray, N: int) -> float:
     """sigma_N * trapezoid of samples * r^{N-1} over [0, rmax]."""
     r = grid.r
@@ -49,16 +45,17 @@ def integrate_radial(grid: RadialGrid, samples: np.ndarray, N: int) -> float:
 def quadrature(state: State, N: int | None = None) -> float:
     """Integral of the state's samples over the computational domain.
 
-    Radial states use the full-space radial weight; periodic states use the
-    uniform rule (exact for trigonometric polynomials).
+    Radial profiles use the full-space radial weight in dimension N, which
+    they require; periodic states use the uniform rule (exact for
+    trigonometric polynomials).
     """
     if isinstance(state, RadialProfile):
+        if N is None:
+            raise PreconditionError("radial quadrature needs the dimension N")
         if not np.all(np.isfinite(state.values)):
             raise InvalidStateError("non-finite samples")
-        return integrate_radial(state.grid, state.values, N or 1)
-    if isinstance(state.grid, PeriodicGrid):
-        return float(np.real(np.sum(state.values)) * state.grid.spacing)
-    return integrate_radial(state.grid, np.real(state.values), state.dim)
+        return integrate_radial(state.grid, state.values, N)
+    return float(np.real(np.sum(state.values)) * state.grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -80,20 +77,17 @@ class FunctionalReport:
         return asdict(self)
 
 
-def _grad_sq_samples(state: State) -> tuple[np.ndarray, object]:
-    """|grad v|^2 samples and the grid they live on."""
+def _grad_sq_samples(state: State) -> np.ndarray:
+    """|grad v|^2 samples on the state's grid."""
     if isinstance(state, RadialProfile):
         if state.deriv is not None:
             d = state.deriv
         else:
             d = np.gradient(state.values, state.grid.spacing, edge_order=2)
-        return d ** 2, state.grid
-    if isinstance(state.grid, PeriodicGrid):
-        k = state.grid.wavenumbers
-        du = np.fft.ifft(1j * k * np.fft.fft(state.values))
-        return np.abs(du) ** 2, state.grid
-    d = np.gradient(state.values, state.grid.spacing, edge_order=2)
-    return np.abs(d) ** 2, state.grid
+        return d ** 2
+    k = state.grid.wavenumbers
+    du = np.fft.ifft(1j * k * np.fft.fft(state.values))
+    return np.abs(du) ** 2
 
 
 def raw_norms(state: State, params: Params) -> tuple[float, float, float, float]:
@@ -101,16 +95,14 @@ def raw_norms(state: State, params: Params) -> tuple[float, float, float, float]
     mod = np.abs(np.asarray(state.values))
     if not np.all(np.isfinite(mod)):
         raise InvalidStateError("non-finite samples")
-    N = params.N if isinstance(state, RadialProfile) else _radial_dim(state)
 
     def integ(samples):
-        if isinstance(state.grid, PeriodicGrid):
-            return float(np.sum(samples) * state.grid.spacing)
-        return integrate_radial(state.grid, samples, N)
+        if isinstance(state, RadialProfile):
+            return integrate_radial(state.grid, samples, params.N)
+        return float(np.sum(samples) * state.grid.spacing)
 
     mass = integ(mod ** 2)
-    gsq, _ = _grad_sq_samples(state)
-    grad = integ(gsq)
+    grad = integ(_grad_sq_samples(state))
     lp = integ(mod ** (params.p + 1))
     lq = integ(mod ** (params.q + 1))
     for name, val in (("mass", mass), ("grad", grad), ("lp", lp), ("lq", lq)):
@@ -137,12 +129,14 @@ def functionals(state: State, params: Params) -> FunctionalReport:
     return report_from_norms(*raw_norms(state, params), params)
 
 
-def _half_width(values: np.ndarray, spacing: float) -> float:
-    peak = np.max(np.abs(values))
-    if peak == 0:
-        return 0.0
-    above = np.abs(values) >= peak / 2.0
-    return max(float(np.count_nonzero(above)) * spacing, spacing)
+def _spline_resample(nodes: np.ndarray, samples: np.ndarray,
+                     at: np.ndarray) -> np.ndarray:
+    """Cubic spline through (nodes, samples), real or complex, read at the
+    points ``at`` and taken as zero outside [nodes[0], nodes[-1]]."""
+    spl = CubicSpline(nodes, samples)
+    at = np.asarray(at, dtype=float)
+    inside = (at >= nodes[0]) & (at <= nodes[-1])
+    return np.where(inside, spl(np.clip(at, nodes[0], nodes[-1])), 0.0)
 
 
 def scale_field(state: State, lam: float, params: Params | None = None) -> State:
@@ -150,54 +144,39 @@ def scale_field(state: State, lam: float, params: Params | None = None) -> State
 
     Resamples by cubic spline with zero extension beyond the grid; raises
     ResolutionError when the compressed state would be carried by fewer
-    than MIN_NODES_ACROSS_WIDTH nodes.
+    than MIN_NODES_ACROSS_WIDTH nodes.  A radial profile takes N from
+    ``params``, which it requires; a field on the line has N = 1.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if lam == 1.0:
         return state
-    N = params.N if (params is not None and isinstance(state, RadialProfile)) \
-        else _radial_dim(state)
+    if isinstance(state, ComplexField):
+        nodes, N = state.grid.x, 1
+    elif params is None:
+        raise PreconditionError("scaling a radial profile needs params for N")
+    else:
+        nodes, N = state.grid.r, params.N
     amp = lam ** (N / 2.0)
-    if isinstance(state, RadialProfile):
-        r = state.grid.r
-        spl = CubicSpline(r, state.values)
-        rs = lam * r
-        vals = np.where(rs <= state.grid.rmax, amp * spl(np.minimum(rs, state.grid.rmax)), 0.0)
-        if state.deriv is not None:
-            dspl = CubicSpline(r, state.deriv)
-            der = np.where(rs <= state.grid.rmax,
-                           amp * lam * dspl(np.minimum(rs, state.grid.rmax)), 0.0)
-        else:
-            der = None
-        _check_resolved(vals, state.grid.spacing)
-        return RadialProfile(state.grid, vals, der)
-    if isinstance(state.grid, PeriodicGrid):
-        x = state.grid.x
-        re = CubicSpline(x, np.real(state.values))
-        im = CubicSpline(x, np.imag(state.values))
-        xs = lam * x
-        inside = (xs >= x[0]) & (xs <= x[-1])
-        xc = np.clip(xs, x[0], x[-1])
-        vals = np.where(inside, amp * (re(xc) + 1j * im(xc)), 0.0)
-        _check_resolved(vals, state.grid.spacing)
+    vals = amp * _spline_resample(nodes, state.values, lam * nodes)
+    _check_resolved(vals)
+    if isinstance(state, ComplexField):
         return ComplexField(state.grid, vals)
-    r = state.grid.r
-    re = CubicSpline(r, np.real(state.values))
-    im = CubicSpline(r, np.imag(state.values))
-    rs = lam * r
-    inside = rs <= state.grid.rmax
-    rc = np.minimum(rs, state.grid.rmax)
-    vals = np.where(inside, amp * (re(rc) + 1j * im(rc)), 0.0)
-    _check_resolved(vals, state.grid.spacing)
-    return ComplexField(state.grid, vals, dim=state.dim)
+    der = None
+    if state.deriv is not None:
+        der = amp * lam * _spline_resample(nodes, state.deriv, lam * nodes)
+    return RadialProfile(state.grid, vals, der)
 
 
-def _check_resolved(values: np.ndarray, spacing: float):
-    hw = _half_width(values, spacing)
-    if hw > 0 and hw / spacing < MIN_NODES_ACROSS_WIDTH:
+def _check_resolved(values: np.ndarray):
+    """Raise ResolutionError unless MIN_NODES_ACROSS_WIDTH nodes sit at or
+    above half the peak of |values|."""
+    mod = np.abs(values)
+    peak = np.max(mod)
+    nodes = np.count_nonzero(mod >= peak / 2.0)
+    if peak > 0 and nodes < MIN_NODES_ACROSS_WIDTH:
         raise ResolutionError(
-            f"rescaled state carried by ~{hw / spacing:.0f} nodes across its "
+            f"state carried by {nodes} nodes across its "
             f"half-width (need {MIN_NODES_ACROSS_WIDTH})")
 
 
@@ -251,19 +230,14 @@ def s_along_scaling(state_or_report, params: Params, lambdas):
 
 def h1_distance(u: State, v: State, params: Params) -> float:
     """H^1 distance sqrt(||u-v||_{L2}^2 + ||grad(u-v)||_{L2}^2)."""
-    if isinstance(u, RadialProfile) and isinstance(v, RadialProfile):
-        if u.grid != v.grid:
-            raise InvalidStateError("grids differ")
-        dvals = u.values - v.values
+    if u.grid != v.grid:
+        raise InvalidStateError("grids differ")
+    if isinstance(u, RadialProfile):
         dder = None
         if u.deriv is not None and v.deriv is not None:
             dder = u.deriv - v.deriv
-        diff = RadialProfile(u.grid, dvals, dder)
-        m, g, _, _ = raw_norms(diff, params)
-        return float(np.sqrt(m + g))
-    if u.grid != v.grid:
-        raise InvalidStateError("grids differ")
-    diff = ComplexField(u.grid, np.asarray(u.values) - np.asarray(v.values),
-                        dim=getattr(u, "dim", 1))
+        diff = RadialProfile(u.grid, u.values - v.values, dder)
+    else:
+        diff = ComplexField(u.grid, u.values - v.values)
     m, g, _, _ = raw_norms(diff, params)
     return float(np.sqrt(m + g))

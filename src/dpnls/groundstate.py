@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_bvp, solve_ivp
 from scipy.optimize import brentq
-from scipy.interpolate import CubicSpline
 
 from .params import (
     CertificationError,
@@ -23,9 +22,10 @@ from .params import (
     Params,
     RadialGrid,
     RadialProfile,
+    ResolutionError,
     TailError,
 )
-from .functionals import FunctionalReport, functionals
+from .functionals import FunctionalReport, _spline_resample, functionals
 
 #: Profile values are truncated where they fall below this fraction of the peak.
 TAIL_FRACTION = 1e-10
@@ -47,14 +47,9 @@ class GroundStateResult:
 
     def resample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(φ, φ') at arbitrary radii, zero beyond the stored grid."""
-        g = self.profile.grid
-        spl = CubicSpline(g.r, self.profile.values)
-        dspl = CubicSpline(g.r, self.profile.deriv)
-        r = np.asarray(r, dtype=float)
-        inside = r <= g.rmax
-        rc = np.minimum(r, g.rmax)
-        return (np.where(inside, spl(rc), 0.0),
-                np.where(inside, dspl(rc), 0.0))
+        nodes = self.profile.grid.r
+        return (_spline_resample(nodes, self.profile.values, r),
+                _spline_resample(nodes, self.profile.deriv, r))
 
 
 def _force(phi, params: Params):
@@ -78,9 +73,13 @@ def amplitude_ceiling(params: Params) -> float:
     return 4.0 * root
 
 
-def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
-    """+1 if the trajectory crosses zero (amplitude too large), -1 if it
-    turns back up at positive value (too small), 0 if neither event fires."""
+def _shoot(params: Params, amplitude: float, rmax: float, rtol: float,
+           atol: float, dense_output: bool):
+    """RK45 trajectory from φ(0) = amplitude, φ'(0) = 0 towards rmax.
+
+    It stops at the first zero crossing of φ (event 0) or the first turn of
+    φ' to positive values (event 1).
+    """
 
     def rhs(r, y):
         phi, dphi = y
@@ -97,8 +96,15 @@ def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     turn.terminal = True
     turn.direction = 1
 
-    sol = solve_ivp(rhs, (1e-12, rmax), [amplitude, 0.0], method="RK45",
-                    rtol=1e-10, atol=1e-14, events=(cross, turn), dense_output=False)
+    return solve_ivp(rhs, (1e-12, rmax), [amplitude, 0.0], method="RK45",
+                     rtol=rtol, atol=atol, events=(cross, turn),
+                     dense_output=dense_output)
+
+
+def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
+    """+1 if the trajectory crosses zero (amplitude too large), -1 if it
+    turns back up at positive value (too small), 0 if neither event fires."""
+    sol = _shoot(params, amplitude, rmax, 1e-10, 1e-14, dense_output=False)
     if sol.t_events[0].size:
         return 1
     if sol.t_events[1].size:
@@ -142,8 +148,6 @@ def _shoot_amplitude(params: Params, rmax: float,
 
 def _bvp_polish(params: Params, amplitude: float, rmax: float, tol: float):
     """Collocation solve with φ'(0) = 0 and Robin decay at rmax."""
-    from scipy.integrate import solve_bvp
-
     sw = np.sqrt(params.omega)
 
     def rhs(r, y):
@@ -160,24 +164,7 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float, tol: float):
     r0 = np.linspace(0.0, rmax, 2001)
     # shooting trajectory as initial guess, with an asymptotic tail past the
     # radius where bisection noise takes over
-    def rhs_ivp(r, y):
-        phi, dphi = y
-        sing = 0.0 if r == 0.0 else (params.N - 1) / r * dphi
-        return [dphi, -sing - _force(phi, params)]
-
-    def cross(r, y):
-        return y[0]
-    cross.terminal = True
-    cross.direction = -1
-
-    def turn(r, y):
-        return y[1]
-    turn.terminal = True
-    turn.direction = 1
-
-    ivp = solve_ivp(rhs_ivp, (1e-12, rmax), [amplitude, 0.0], method="RK45",
-                    rtol=1e-12, atol=1e-16, events=(cross, turn),
-                    dense_output=True)
+    ivp = _shoot(params, amplitude, rmax, 1e-12, 1e-16, dense_output=True)
     # splice an exponential tail where the bisected trajectory drops below
     # 1e-6 of the amplitude (still accurate there; garbage further out)
     rr = np.linspace(0.0, ivp.t[-1], 10000)
@@ -215,6 +202,15 @@ def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
     return float(max(np.max(np.abs(res)), abs(res0)))
 
 
+def _check_identities(report: FunctionalReport):
+    """Raise CertificationError unless |K| and |Q| are within IDENTITY_RTOL
+    of the action."""
+    for name, val in (("nehari", report.nehari), ("virial", report.virial)):
+        if abs(val) > IDENTITY_RTOL * abs(report.action):
+            raise CertificationError(
+                f"|{name}| = {abs(val):.2e} exceeds {IDENTITY_RTOL:.0e} * action")
+
+
 def default_grid(params: Params, nodes_per_unit: float = 160.0) -> RadialGrid:
     """Truncation at 25/sqrt(ω) with spacing resolving the width 1/sqrt(ω)."""
     sw = np.sqrt(params.omega)
@@ -231,14 +227,19 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
     rmax = grid.rmax
     amp, bracket = _shoot_amplitude(params, rmax)
 
-    sol = None
-    for attempt in range(3):
+    for extension in range(3):
+        if extension:
+            rmax *= 1.5
+            grid = RadialGrid(rmax, int(grid.n * 1.5))
         sol = _bvp_polish(params, amp, rmax, tol)
         tail = abs(sol.sol(rmax)[0]) / sol.sol(0.0)[0]
         if tail < TAIL_FRACTION:
             break
-        rmax *= 1.5
-        grid = RadialGrid(rmax, int(grid.n * 1.5))
+    else:
+        raise ResolutionError(
+            f"domain too short: the profile at rmax = {rmax:.4g} is still "
+            f"{tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) after "
+            f"{extension} domain extensions")
 
     r = grid.r
     y = sol.sol(r)
@@ -257,10 +258,7 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
         raise ConvergenceError(f"stationary residual {residual:.2e} above tol")
 
     report = functionals(profile, params)
-    for name, val in (("nehari", report.nehari), ("virial", report.virial)):
-        if abs(val) > IDENTITY_RTOL * abs(report.action):
-            raise CertificationError(
-                f"|{name}| = {abs(val):.2e} exceeds {IDENTITY_RTOL:.0e} * action")
+    _check_identities(report)
 
     rate = decay_fit(profile, params.omega)
     if rate <= 0:

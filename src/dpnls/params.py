@@ -43,6 +43,12 @@ class PreconditionError(ValueError):
     """A documented hypothesis of the operation is violated."""
 
 
+#: Every error class above.  A sweep records these as the status of the one
+#: item that raised them and keeps going; anything else is a program fault.
+ERRORS = (InvalidStateError, ResolutionError, NoBracketError, ConvergenceError,
+          CertificationError, TailError, MembershipError, PreconditionError)
+
+
 @dataclass(frozen=True)
 class Params:
     """Equation parameters (N, a, b, p, q, omega) with derived scaling exponents.
@@ -65,17 +71,18 @@ class Params:
         if not self._validate:
             return
         if self.N < 1 or self.N != int(self.N):
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+            raise PreconditionError(
+                f"N must be a positive integer, got {self.N}")
         if self.a <= 0 or self.b <= 0:
-            raise ValueError("coefficients a, b must be positive")
+            raise PreconditionError("coefficients a, b must be positive")
         if self.omega <= 0:
-            raise ValueError("omega must be positive")
+            raise PreconditionError("omega must be positive")
         lo = 1.0 + 4.0 / self.N
         if not (1.0 < self.p < lo < self.q):
-            raise ValueError(
+            raise PreconditionError(
                 f"need 1 < p < {lo} < q, got p={self.p}, q={self.q}")
         if self.N >= 3 and self.q >= 1.0 + 4.0 / (self.N - 2):
-            raise ValueError(
+            raise PreconditionError(
                 f"q must be below {1 + 4 / (self.N - 2)} for N={self.N}")
 
     @classmethod
@@ -174,19 +181,17 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex state on a periodic 1D grid, or radial with a dimension tag."""
+    """Complex state on a periodic 1D grid (the line)."""
 
-    grid: PeriodicGrid | RadialGrid
+    grid: PeriodicGrid
     values: np.ndarray
-    dim: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.grid, PeriodicGrid):
+            raise InvalidStateError("a complex field lives on a periodic grid")
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
-        n = self.grid.m if isinstance(self.grid, PeriodicGrid) else self.grid.n
-        if v.shape != (n,):
+        if v.shape != (self.grid.m,):
             raise InvalidStateError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise InvalidStateError("non-finite field samples")
-        if isinstance(self.grid, PeriodicGrid) and self.dim != 1:
-            raise InvalidStateError("periodic grid is one-dimensional")

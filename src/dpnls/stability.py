@@ -4,6 +4,7 @@ A ground state is classified by the concavity of the action along the
 mass-preserving scaling curve at lambda = 1: d2s <= 0 is the sufficient
 condition for strong instability.  ``in_b_omega`` tests membership in the
 invariant blowup set {S < S(phi), mass <= mass(phi), K < 0, Q < 0}.
+``omega_sweep`` is the one loop that solves and classifies across omega.
 """
 
 from __future__ import annotations
@@ -13,15 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import (
-    CertificationError,
+    ERRORS,
     ComplexField,
     MembershipError,
     Params,
     PeriodicGrid,
-    ResolutionError,
+    PreconditionError,
+    RadialGrid,
 )
-from .functionals import FunctionalReport, functionals, raw_norms, report_from_norms
-from .groundstate import GroundStateResult, IDENTITY_RTOL
+from .functionals import FunctionalReport, _check_resolved, functionals
+from .groundstate import (
+    GroundStateResult, _check_identities, solve_ground_state)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
@@ -37,11 +40,6 @@ class StabilityReport:
     criterion_met: bool
     remark13_consistent: bool
 
-    def as_record(self) -> dict:
-        return {"omega": self.omega, "d2s": self.d2s, "energy": self.energy,
-                "criterion_met": self.criterion_met,
-                "remark13_consistent": self.remark13_consistent}
-
 
 @dataclass(frozen=True)
 class BOmegaVerdict:
@@ -54,13 +52,6 @@ class BOmegaVerdict:
     in_set: bool
     checks: tuple[float, float, float, float]
     indeterminate: bool = False
-
-
-def _require_certified(gs: GroundStateResult):
-    r = gs.report
-    tol = IDENTITY_RTOL * abs(r.action)
-    if abs(r.nehari) > tol or abs(r.virial) > tol:
-        raise CertificationError("ground state fails the K = Q = 0 identities")
 
 
 def remark13_decomposition(report: FunctionalReport,
@@ -76,7 +67,7 @@ def remark13_decomposition(report: FunctionalReport,
 
 def classify(gs: GroundStateResult) -> StabilityReport:
     """Evaluate the instability criterion and the positive-energy check."""
-    _require_certified(gs)
+    _check_identities(gs.report)
     r, params = gs.report, gs.params
     d2s = r.d2s
     met = d2s <= CRITERION_BAND * abs(r.action)
@@ -105,6 +96,17 @@ def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
     return BOmegaVerdict(bool(in_set), checks, bool(indeterminate))
 
 
+def _embed(gs: GroundStateResult, lam: float,
+           grid: PeriodicGrid) -> ComplexField:
+    """phi^lambda on the line by even reflection, checked for resolution."""
+    if gs.params.N != 1:
+        raise PreconditionError("line embedding is defined for N = 1 profiles")
+    vals, _ = gs.resample(lam * np.abs(grid.x))
+    u = np.sqrt(lam) * vals.astype(complex)
+    _check_resolved(u)
+    return ComplexField(grid, u)
+
+
 def make_scaled_data(gs: GroundStateResult, lam: float,
                      grid: PeriodicGrid) -> ComplexField:
     """phi^lambda embedded on the evolution grid by even reflection (N = 1).
@@ -112,17 +114,8 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
     Verifies blowup-set membership of the embedded state before returning.
     """
     if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
-    if gs.params.N != 1:
-        raise ValueError("line embedding is defined for N = 1 profiles")
-    width = _profile_half_width(gs)
-    if width / lam < 8 * grid.spacing:
-        raise ResolutionError(
-            f"compressed half-width {width / lam:.3g} under-resolved by "
-            f"spacing {grid.spacing:.3g}")
-    x = grid.x
-    vals, _ = gs.resample(lam * np.abs(x))
-    u0 = ComplexField(grid, np.sqrt(lam) * vals.astype(complex))
+        raise PreconditionError("lambda must exceed 1")
+    u0 = _embed(gs, lam, grid)
     verdict = in_b_omega(u0, gs)
     if not verdict.in_set:
         raise MembershipError(f"embedded state not in the blowup set: "
@@ -132,21 +125,33 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
 
 def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:
     """phi itself on the evolution grid (standing-wave initial data)."""
-    vals, _ = gs.resample(np.abs(grid.x))
-    return ComplexField(grid, vals.astype(complex))
+    return _embed(gs, 1.0, grid)
 
 
-def _profile_half_width(gs: GroundStateResult) -> float:
-    vals = gs.profile.values
-    half = np.nonzero(vals < vals[0] / 2.0)[0]
-    i = half[0] if half.size else vals.size - 1
-    return float(gs.profile.grid.r[i])
+def omega_sweep(params: Params, omegas, grid: RadialGrid | None = None,
+                tol: float = 1e-8) -> list[dict]:
+    """Solve and classify the ground state of ``params`` at each omega.
 
-
-def omega_sweep_rows(results) -> list[dict]:
-    """Flat records (omega, d2s, energy, criterion_met) for CSV export."""
+    One row per omega with omega, amplitude, action, energy, d2s,
+    criterion_met and status: "ok", "identity-check-failed", or
+    "error: <message>" when the solve or the classification raised one of
+    the package's ``ERRORS``; the sweep goes on past such a row.
+    """
+    nan = float("nan")
     rows = []
-    for res in results:
-        rep = classify(res)
-        rows.append(rep.as_record())
+    for w in omegas:
+        row = {"omega": w, "amplitude": nan, "action": nan, "energy": nan,
+               "d2s": nan, "criterion_met": False, "status": "ok"}
+        try:
+            gs = solve_ground_state(params.with_omega(w), grid, tol)
+            rep = classify(gs)
+        except ERRORS as exc:
+            row["status"] = f"error: {exc}"
+        else:
+            row.update(amplitude=gs.amplitude, action=gs.report.action,
+                       energy=rep.energy, d2s=rep.d2s,
+                       criterion_met=rep.criterion_met)
+            if not rep.remark13_consistent:
+                row["status"] = "identity-check-failed"
+        rows.append(row)
     return rows

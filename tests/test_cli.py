@@ -2,9 +2,11 @@
 and seeded determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from dpnls import stability
 from dpnls.cli import ExperimentConfig, main
 
 from conftest import BASE
@@ -45,6 +47,29 @@ class TestConfig:
         assert cfg.radial_grid() is None
         assert cfg.evolution_grid().m == 65536
         assert cfg.evolution_config().dt == 5e-4
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"evolution": {"dtt": 1e-3}}, "dtt"),
+        ({"sweep": {"omegas": [1.0]}}, "sweep"),
+        ({"lemma": {"sample": 5}}, "sample"),
+        ({"grid": 5}, "grid"),
+    ])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, key):
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert run("groundstate", "--config", path,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        for name in workloads.WORKLOADS:
+            _, cfg = workloads.config(name, 0)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            ExperimentConfig.from_file(path)
 
 
 class TestGroundstateCommand:
@@ -90,6 +115,26 @@ class TestClassifyCommand:
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert run("classify", "--config", path, "--out", tmp_path / "o") == 2
+
+    def test_inadmissible_omega_is_a_row(self, tmp_path):
+        path = write_config(tmp_path / "c.json", sweeps={"omegas": [-0.5]})
+        out = tmp_path / "out"
+        assert run("classify", "--config", path, "--out", out,
+                   "--no-timestamp") == 0
+        row = (out / "classify.csv").read_text().splitlines()[1]
+        assert row.endswith("error: omega must be positive")
+
+    def test_program_fault_is_not_a_row(self, tmp_path, monkeypatch):
+        # only the package's error taxonomy becomes a row status; any other
+        # exception is a fault that fails the command
+        def broken(gs):
+            raise TypeError("broken classify")
+        monkeypatch.setattr(stability, "solve_ground_state", lambda *a: None)
+        monkeypatch.setattr(stability, "classify", broken)
+        path = write_config(tmp_path / "c.json", sweeps={"omegas": [1.0]})
+        out = tmp_path / "out"
+        assert run("classify", "--config", path, "--out", out) == 1
+        assert not (out / "classify.csv").exists()
 
 
 class TestBlowupCommand:

@@ -9,7 +9,7 @@ not the integrator.
 import numpy as np
 import pytest
 
-from dpnls.params import ComplexField, Params, PeriodicGrid, RadialGrid
+from dpnls.params import ComplexField, Params, PeriodicGrid
 from dpnls.functionals import functionals
 from dpnls.stability import embed_on_line, make_scaled_data
 from dpnls.evolution import (
@@ -129,62 +129,6 @@ class TestBlowup:
         verdict = evolve(u0, gs1.params, cfg)
         assert verdict.reason in ("resolution", "numerical")
         assert verdict.inconclusive
-
-
-class TestRadialStepper:
-    """Crank–Nicolson stepper for dimension >= 2 on a radial grid."""
-
-    def params2(self):
-        return Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0)
-
-    def test_discrete_mass_exactly_conserved(self):
-        # the Crank-Nicolson step is unitary in its own finite-volume
-        # inner product; drift there should be pure roundoff
-        from dpnls.evolution import _CrankNicolsonStepper
-        grid = RadialGrid(20.0, 1024)
-        st = _CrankNicolsonStepper(grid, 2)
-        u = np.exp(-grid.r ** 2).astype(complex)
-        u[-1] = 0.0
-        m0 = np.sum(st.weights * np.abs(u) ** 2)
-        for _ in range(200):
-            u = st.linear(u, 5e-3)
-        m1 = np.sum(st.weights * np.abs(u) ** 2)
-        assert m1 == pytest.approx(m0, rel=1e-13)
-
-    def test_recorded_mass_drift_is_quadrature_error(self):
-        # the trace records mass with the trapezoid rule, which differs
-        # from the conserved finite-volume sum at O(h^2)
-        params = self.params2()
-        drifts = []
-        for n in (1024, 4096):
-            grid = RadialGrid(20.0, n)
-            u0 = ComplexField(grid, np.exp(-grid.r ** 2).astype(complex),
-                              dim=2)
-            cfg = EvolutionConfig(dt=5e-3, t_max=0.5, adaptive=False,
-                                  record_every=10)
-            verdict = evolve(u0, params, cfg)
-            m0 = verdict.trace[0].mass
-            drifts.append(
-                max(abs(r.mass - m0) for r in verdict.trace) / m0
-            )
-        assert drifts[1] < 2e-5
-        assert drifts[0] / drifts[1] > 8.0  # ~16x for a 4x finer grid
-
-    def test_ground_state_short_evolution(self):
-        from dpnls.groundstate import solve_ground_state
-        params = self.params2()
-        # certification needs a fine functional grid at N = 2: the radial
-        # trapezoid rule is only O(h^2) there, unlike the even-symmetric
-        # line case
-        gs = solve_ground_state(params, RadialGrid(25.0, 64001))
-        grid = RadialGrid(gs.profile.grid.rmax, 4001)
-        vals, _ = gs.resample(grid.r)
-        u0 = ComplexField(grid, vals.astype(complex), dim=2)
-        cfg = EvolutionConfig(dt=1e-3, t_max=0.5, adaptive=False,
-                              record_every=10 ** 9)
-        verdict = evolve(u0, params, cfg)
-        dev = np.max(np.abs(np.abs(verdict.final.values) - vals))
-        assert dev < 5e-3
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ from dpnls.params import (
     InvalidStateError,
     Params,
     PeriodicGrid,
+    PreconditionError,
     RadialGrid,
     RadialProfile,
     ResolutionError,
@@ -45,7 +46,12 @@ class TestQuadrature:
 
     def test_zero_profile(self):
         grid = RadialGrid(5.0, 101)
-        assert quadrature(RadialProfile(grid, np.zeros(101))) == 0.0
+        assert quadrature(RadialProfile(grid, np.zeros(101)), N=1) == 0.0
+
+    def test_radial_needs_dimension(self):
+        grid = RadialGrid(5.0, 101)
+        with pytest.raises(PreconditionError):
+            quadrature(RadialProfile(grid, np.ones(101)))
 
     def test_nonfinite_rejected(self):
         grid = RadialGrid(5.0, 101)
@@ -158,6 +164,10 @@ class TestScaleField:
         scaled = scale_field(prof, 1.5, params1)
         assert functionals(scaled, params1).mass == pytest.approx(m0, rel=1e-6)
 
+    def test_radial_profile_needs_params(self):
+        with pytest.raises(PreconditionError):
+            scale_field(gaussian_profile(), 1.5)
+
 
 class TestScalingCurve:
     def test_empty_lambda_list(self, params1):
@@ -197,6 +207,11 @@ class TestScalingCurve:
 def test_h1_distance_zero_for_identical(params1):
     f = gaussian_field()
     assert h1_distance(f, f, params1) == 0.0
+
+
+def test_complex_field_lives_on_the_line():
+    with pytest.raises(InvalidStateError):
+        ComplexField(RadialGrid(5.0, 101), np.zeros(101, dtype=complex))
 
 
 def test_h1_distance_positive(params1):

@@ -20,6 +20,7 @@ from dpnls.params import (
     Params,
     RadialGrid,
     RadialProfile,
+    ResolutionError,
     TailError,
 )
 from dpnls.functionals import functionals
@@ -148,6 +149,28 @@ class TestDecayFit:
         prof = RadialProfile(grid, np.exp(0.3 * grid.r))
         with pytest.raises(TailError):
             decay_fit(prof, 1.0)
+
+
+class TestDomain:
+    def test_short_domain_names_the_tail(self, params1):
+        # e^{-18} is far above the tail threshold, so three solves on
+        # rmax = 8, 12, 18 all leave a heavy tail at the boundary
+        with pytest.raises(ResolutionError, match="domain too short"):
+            solve_ground_state(params1, RadialGrid(8.0, 1281))
+
+
+class TestHigherDimension:
+    def test_planar_ground_state_certified(self):
+        # certification needs a fine functional grid at N = 2: the radial
+        # trapezoid rule is only O(h^2) there, unlike the even-symmetric
+        # line case
+        params = Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0)
+        gs = solve_ground_state(params, RadialGrid(25.0, 64001))
+        scale = abs(gs.report.action)
+        assert gs.residual <= 1e-8
+        assert abs(gs.report.nehari) <= 1e-6 * scale
+        assert abs(gs.report.virial) <= 1e-6 * scale
+        assert gs.decay_rate == pytest.approx(1.0, rel=0.1)
 
 
 class TestGridConsistency:

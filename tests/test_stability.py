@@ -11,12 +11,13 @@ import pytest
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
 from dpnls.functionals import functionals, h1_distance, nehari_at_scale
+from dpnls import stability
 from dpnls.stability import (
     classify,
     embed_on_line,
     in_b_omega,
     make_scaled_data,
-    omega_sweep_rows,
+    omega_sweep,
     remark13_decomposition,
 )
 
@@ -53,10 +54,15 @@ class TestClassification:
         rep = report_from_norms(0.0, 0.0, 0.0, 0.0, params1)
         assert remark13_decomposition(rep, params1) == (0.0, 0.0, 0.0)
 
-    def test_sweep_rows_shape(self, gs1, gs_half):
-        rows = omega_sweep_rows([gs_half, gs1])
+    def test_sweep_rows_shape(self, gs1, gs_half, monkeypatch):
+        solved = {0.5: gs_half, 1.0: gs1}
+        monkeypatch.setattr(stability, "solve_ground_state",
+                            lambda params, grid, tol: solved[params.omega])
+        rows = omega_sweep(gs1.params, [0.5, 1.0])
         assert [r["omega"] for r in rows] == [0.5, 1.0]
+        assert [r["status"] for r in rows] == ["ok", "ok"]
         assert rows[1]["criterion_met"] and not rows[0]["criterion_met"]
+        assert rows[1]["amplitude"] == gs1.amplitude
 
 
 class TestMembership:
