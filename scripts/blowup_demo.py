@@ -2,8 +2,9 @@
 """Evolve compressed ground-state data and watch the gradient norm run away.
 
 Solves the omega = 1 ground state, compresses it by lambda, and runs the
-split-step integrator until the blowup detector fires, printing the trace
-as it goes.
+split-step integrator and its audits until the blowup detector fires (the
+same run as one lambda of ``dpnls blowup``), printing the trace and the
+run's summary row.
 
 Usage: python scripts/blowup_demo.py [--lam 1.2] [--m 65536] [--dt 5e-4]
 """
@@ -12,15 +13,8 @@ import argparse
 
 from dpnls.params import Params, PeriodicGrid
 from dpnls.groundstate import solve_ground_state
-from dpnls.stability import make_scaled_data
-from dpnls.evolution import (
-    EvolutionConfig,
-    b_omega_invariance_audit,
-    concavity_audit,
-    evolve,
-    uniform_prefix,
-    virial_check,
-)
+from dpnls.stability import blowup_run
+from dpnls.evolution import EvolutionConfig
 
 
 def main():
@@ -40,28 +34,18 @@ def main():
           f"residual {gs.residual:.2e}")
 
     grid = PeriodicGrid(args.length, args.m)
-    u0 = make_scaled_data(gs, args.lam, grid)
     cfg = EvolutionConfig(dt=args.dt, t_max=args.t_max, record_every=100)
     print(f"evolving lambda = {args.lam} data "
           f"(grid {args.m} points, dt = {args.dt:g}) ...")
-    verdict = evolve(u0, params, cfg)
+    row, verdict = blowup_run(gs, args.lam, grid, cfg)
 
     print(f"{'t':>8} {'sup|u|':>10} {'grad^2':>12} {'Q':>12} {'var':>10}")
     for rec in verdict.trace[:: max(1, len(verdict.trace) // 20)]:
         print(f"{rec.t:8.3f} {rec.sup_amp:10.4f} {rec.grad_norm_sq:12.4f} "
               f"{rec.virial_q:12.4f} {rec.variance:10.4f}")
-
-    if verdict.blew_up:
-        print(f"\nblowup detected at t = {verdict.t_detect:.4f} "
-              f"(reason: {verdict.reason})")
-    else:
-        print(f"\nno blowup before t = {args.t_max} "
-              f"(reason: {verdict.reason})")
-    window = uniform_prefix(verdict.trace)
-    print(f"invariance audit: {b_omega_invariance_audit(verdict, gs)}")
-    if len(window) >= 5:
-        print(f"concavity audit:  {concavity_audit(window, gs)}")
-        print(f"virial mismatch:  {virial_check(window):.2e}")
+    print()
+    for key, value in row.items():
+        print(f"{key + ':':17} {value}")
 
 
 if __name__ == "__main__":

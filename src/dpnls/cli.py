@@ -1,7 +1,8 @@
 """Command-line front end: solve, classify, blowup and lemma-verification runs.
 
 Commands read a JSON config of nested sections and write CSV/JSON results
-into the output directory.  A key the config schema does not name is a
+into the output directory.  The whole config is validated when it is read:
+a key the schema does not name, or a value its section rejects, is a
 config error.  Runs with a fixed seed are deterministic; a
 timestamp line in the summary can be suppressed with --no-timestamp for
 byte-identical reruns.
@@ -13,25 +14,16 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .params import ERRORS, Params, PeriodicGrid, PreconditionError, RadialGrid
-from .functionals import functionals
+from .params import ERRORS, Params, PeriodicGrid, RadialGrid
 from .groundstate import default_grid, solve_ground_state
-from .stability import make_scaled_data, omega_sweep
-from .evolution import (
-    EvolutionConfig,
-    TraceRecord,
-    b_omega_invariance_audit,
-    concavity_audit,
-    evolve,
-    uniform_prefix,
-    virial_check,
-)
+from .stability import blowup_run, omega_sweep
+from .evolution import EvolutionConfig, TraceRecord
 from . import lemma_lab
 
 
@@ -66,63 +58,65 @@ def _check_keys(raw: dict):
 
 @dataclass
 class ExperimentConfig:
+    """A run's whole configuration, validated when ``from_file`` reads it."""
+
     params: Params
-    grid_rmax: float | None = None
-    grid_n: int | None = None
-    solver_tol: float = 1e-8
-    evolution: dict = field(default_factory=dict)
-    omegas: list[float] = field(default_factory=list)
-    lambdas: list[float] = field(default_factory=list)
-    lemma_pairs: int = 100
-    lemma_lambda_points: int = 10000
-    lemma_samples: int = 200
-    seed: int = 0
-    out: str = "results"
+    grid: RadialGrid | None   # None: the solver's default grid
+    solver_tol: float
+    line_grid: PeriodicGrid
+    evolution: EvolutionConfig
+    omegas: list[float]
+    lambdas: list[float]
+    lemma_pairs: int
+    lemma_lambda_points: int
+    lemma_samples: int
+    seed: int
+    out: Path
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        """Read a config and build every field; a bad key or value raises."""
         raw = json.loads(Path(path).read_text())
         _check_keys(raw)
         p = raw["params"]
         params = Params(int(p["N"]), float(p["a"]), float(p["b"]),
                         float(p["p"]), float(p["q"]), float(p["omega"]))
-        grid = raw.get("grid", {})
+        section, grid = raw.get("grid", {}), None
+        if section:
+            base = default_grid(params)
+            grid = RadialGrid(float(section.get("rmax", base.rmax)),
+                              int(section.get("n", base.n)))
+        solver_tol = float(raw.get("solver", {}).get("tol", 1e-8))
+        if not solver_tol > 0:
+            raise ValueError("solver tol must be positive")
+        # keys not given here take the EvolutionConfig defaults
+        ev = dict(raw.get("evolution", {}))
+        line_grid = PeriodicGrid(float(ev.pop("length", 32.0)),
+                                 int(ev.pop("m", 65536)))
+        evolution = EvolutionConfig(
+            dt=float(ev.pop("dt", 5e-4)), t_max=float(ev.pop("t_max", 60.0)),
+            record_every=int(ev.pop("record_every", 100)),
+            **{key: float(value) for key, value in ev.items()})
         lemma = raw.get("lemma", {})
+        pairs = int(lemma.get("pairs", 100))
+        lambda_points = int(lemma.get("lambda_points", 10000))
+        samples = int(lemma.get("samples", 200))
+        if min(pairs, samples, lambda_points - 1) < 1:
+            raise ValueError("lemma needs pairs, samples >= 1, lambda_points >= 2")
         sweeps = raw.get("sweeps", {})
         return cls(
             params=params,
-            grid_rmax=grid.get("rmax"),
-            grid_n=grid.get("n"),
-            solver_tol=float(raw.get("solver", {}).get("tol", 1e-8)),
-            evolution=raw.get("evolution", {}),
+            grid=grid,
+            solver_tol=solver_tol,
+            line_grid=line_grid,
+            evolution=evolution,
             omegas=[float(w) for w in sweeps.get("omegas", [])],
             lambdas=[float(l) for l in sweeps.get("lambdas", [])],
-            lemma_pairs=int(lemma.get("pairs", 100)),
-            lemma_lambda_points=int(lemma.get("lambda_points", 10000)),
-            lemma_samples=int(lemma.get("samples", 200)),
+            lemma_pairs=pairs,
+            lemma_lambda_points=lambda_points,
+            lemma_samples=samples,
             seed=int(raw.get("seed", 0)),
-            out=raw.get("out", "results"),
-        )
-
-    def radial_grid(self) -> RadialGrid | None:
-        if self.grid_rmax is None and self.grid_n is None:
-            return None
-        base = default_grid(self.params)
-        return RadialGrid(self.grid_rmax or base.rmax, self.grid_n or base.n)
-
-    def evolution_grid(self) -> PeriodicGrid:
-        ev = self.evolution
-        return PeriodicGrid(float(ev.get("length", 32.0)), int(ev.get("m", 65536)))
-
-    def evolution_config(self) -> EvolutionConfig:
-        ev = self.evolution
-        return EvolutionConfig(
-            dt=float(ev.get("dt", 5e-4)),
-            t_max=float(ev.get("t_max", 60.0)),
-            blowup_grad_factor=float(ev.get("blowup_grad_factor", 50.0)),
-            blowup_amp_factor=float(ev.get("blowup_amp_factor", 20.0)),
-            cfl_shrink=float(ev.get("cfl_shrink", 0.5)),
-            record_every=int(ev.get("record_every", 100)),
+            out=Path(raw.get("out", "results")),
         )
 
 
@@ -152,7 +146,7 @@ def write_summary(path: Path, record: dict, timestamp: bool):
 
 
 def _solve(cfg: ExperimentConfig):
-    return solve_ground_state(cfg.params, cfg.radial_grid(), cfg.solver_tol)
+    return solve_ground_state(cfg.params, cfg.grid, cfg.solver_tol)
 
 
 def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
@@ -177,8 +171,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.omegas:
         print("classify: empty omega sweep", file=sys.stderr)
         return 2
-    rows = omega_sweep(cfg.params, cfg.omegas, cfg.radial_grid(),
-                       cfg.solver_tol)
+    rows = omega_sweep(cfg.params, cfg.omegas, cfg.grid, cfg.solver_tol)
     write_csv(out / "classify.csv",
               ["omega", "d2s", "energy", "criterion_met", "status"], rows)
     n_bad = sum(r["status"] != "ok" for r in rows)
@@ -195,32 +188,17 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         print("blowup: empty lambda sweep", file=sys.stderr)
         return 2
     gs = _solve(cfg)
-    grid = cfg.evolution_grid()
-    evcfg = cfg.evolution_config()
-    verdicts = []
+    rows = []
     for lam in cfg.lambdas:
-        entry = {"lambda": lam, "status": "ok"}
         try:
-            u0 = make_scaled_data(gs, lam, grid)
-            verdict = evolve(u0, cfg.params, evcfg)
-            uni = uniform_prefix(verdict.trace)
-            entry.update(
-                blew_up=verdict.blew_up,
-                t_detect=verdict.t_detect,
-                reason=verdict.reason or "",
-                invariance_audit=b_omega_invariance_audit(verdict, gs),
-                concavity_audit=(concavity_audit(uni, gs)
-                                 if len(uni) >= 5 else None),
-                virial_mismatch=(virial_check(uni) if len(uni) >= 5 else None),
-            )
+            row, verdict = blowup_run(gs, lam, cfg.line_grid, cfg.evolution)
+        except ERRORS as exc:
+            row = {"lambda": lam, "status": f"error: {exc}"}
+        else:
             write_csv(out / f"trace_lambda_{lam:g}.csv", TRACE_HEADER,
                       [rec.as_record() for rec in verdict.trace])
-            if verdict.inconclusive:
-                entry["status"] = "inconclusive"
-        except ERRORS as exc:
-            entry["status"] = f"error: {exc}"
-        verdicts.append(entry)
-    write_summary(out / "blowup_summary.json", {"runs": verdicts}, timestamp)
+        rows.append(row)
+    write_summary(out / "blowup_summary.json", {"runs": rows}, timestamp)
     return 0
 
 
@@ -232,35 +210,16 @@ def cmd_verify_lemma(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     write_csv(out / "sign_suite.csv",
               ["alpha", "beta", "h_min", "g1_min", "g2_max", "g3_min",
                "g1_max_increase", "g3_max_increase"], rows)
-    slack = 1e-9
-    sign_ok = all(r["h_min"] >= -slack and r["g1_min"] >= -slack
-                  and r["g2_max"] <= slack and r["g3_min"] >= -slack
-                  for r in rows)
+    sign_ok = lemma_lab.signs_hold(rows)
 
-    gs = _solve(cfg)
-    ke_rows = []
-    ke_ok = True
-    candidates = lemma_lab.perturbed_profiles(gs, rng, cfg.lemma_samples * 3)
-    kept = 0
-    for prof in candidates:
-        if kept >= cfg.lemma_samples:
-            break
-        rep = functionals(prof, cfg.params)
-        try:
-            lemma_lab.check_hypotheses(rep, gs)
-        except PreconditionError:
-            continue
-        chk = lemma_lab.key_estimate_check(rep, gs)
-        kept += 1
-        ke_rows.append({"lambda0": chk.lambda0, "lhs": chk.lhs,
-                        "rhs": chk.rhs, "margin": chk.margin})
-        if chk.margin < -1e-8 * max(1.0, abs(chk.rhs)):
-            ke_ok = False
+    checks, ke_ok = lemma_lab.key_estimate_audit(_solve(cfg), rng,
+                                                 cfg.lemma_samples)
     write_csv(out / "key_estimate.csv", ["lambda0", "lhs", "rhs", "margin"],
-              ke_rows)
+              [asdict(c) for c in checks])
     write_summary(out / "lemma_summary.json",
                   {"pairs": len(rows), "sign_suite_ok": sign_ok,
-                   "key_estimate_samples": kept, "key_estimate_ok": ke_ok},
+                   "key_estimate_samples": len(checks),
+                   "key_estimate_ok": ke_ok},
                   timestamp)
     return 0 if (sign_ok and ke_ok) else 1
 
@@ -292,12 +251,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-    out = Path(args.out if args.out is not None else cfg.out)
+    out = Path(args.out) if args.out is not None else cfg.out
     out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](cfg, out, timestamp=not args.no_timestamp)

@@ -24,6 +24,11 @@ from .params import ComplexField, MembershipError, Params, PeriodicGrid
 from .functionals import raw_norms, report_from_norms
 from .groundstate import GroundStateResult
 
+#: Floor of the adaptive step size.
+DT_MIN = 1e-9
+#: Spectral-tail fraction above which a state counts as under-resolved.
+MAX_TAIL_FRACTION = 1e-8
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -33,8 +38,6 @@ class EvolutionConfig:
     blowup_amp_factor: float = 20.0
     cfl_shrink: float = 0.5
     record_every: int = 20
-    dt_min: float = 1e-9
-    tail_fraction: float = 1e-8   # spectral-tail resolution threshold
     adaptive: bool = True
 
     def __post_init__(self):
@@ -44,6 +47,8 @@ class EvolutionConfig:
             raise ValueError("blowup thresholds must exceed 1")
         if not (0 < self.cfl_shrink < 1):
             raise ValueError("cfl_shrink must lie in (0, 1)")
+        if self.record_every < 1:
+            raise ValueError("record_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             trace.append(_record(t, u, grid, params))
         return BlowupVerdict(False, None, None, trace, ComplexField(grid, u))
 
-    if stepper.tail_fraction(u) > cfg.tail_fraction:
+    if stepper.tail_fraction(u) > MAX_TAIL_FRACTION:
         return BlowupVerdict(False, 0.0, "resolution", trace, ComplexField(grid, u))
 
     step = 0
@@ -164,7 +169,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             reason = "amplitude"
         elif np.sqrt(stepper.grad_sq(u)) > cfg.blowup_grad_factor * grad0:
             reason = "gradient"
-        elif stepper.tail_fraction(u) > cfg.tail_fraction:
+        elif stepper.tail_fraction(u) > MAX_TAIL_FRACTION:
             reason = "resolution"
         else:
             reason = None
@@ -175,7 +180,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
                                  ComplexField(grid, u))
 
         if cfg.adaptive and amp > 1.02 * prev_amp:
-            dt = max(dt * cfg.cfl_shrink, cfg.dt_min)
+            dt = max(dt * cfg.cfl_shrink, DT_MIN)
 
     if trace[-1].t < t - 1e-12:
         trace.append(_record(t, u, grid, params))

@@ -25,6 +25,10 @@ from .functionals import (
 from .groundstate import GroundStateResult
 
 
+#: A sign-suite extreme within this of zero counts as having the claimed sign.
+SIGN_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """Admissible scaling exponents: 0 < alpha < 2 < beta."""
@@ -127,6 +131,14 @@ def sign_suite(pairs, lam_grid=None) -> list[dict]:
             "g3_max_increase": float(np.max(np.diff(g3))),
         })
     return rows
+
+
+def signs_hold(rows) -> bool:
+    """h >= 0, g1 >= 0, g2 <= 0 and g3 >= 0 on every ``sign_suite`` row,
+    each up to SIGN_SLACK."""
+    return all(r["h_min"] >= -SIGN_SLACK and r["g1_min"] >= -SIGN_SLACK
+               and r["g2_max"] <= SIGN_SLACK and r["g3_min"] >= -SIGN_SLACK
+               for r in rows)
 
 
 def find_lambda0(v, params: Params) -> float:
@@ -253,3 +265,25 @@ def perturbed_profiles(gs: GroundStateResult, rng: np.random.Generator,
         der = amp * (lam * dbase * (1.0 + eps * bump) + base * eps * dbump)
         out.append(RadialProfile(g, vals, der))
     return out
+
+
+def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
+                       samples: int) -> tuple[list[KeyEstimateCheck], bool]:
+    """Check the key estimate on the first ``samples`` of 3 * samples
+    perturbed states that meet the Lemma hypotheses.
+
+    A kept state that fails a step of the proof's chain raises
+    PreconditionError; ``ok`` means every margin is >= -1e-8 max(1, |rhs|).
+    """
+    checks = []
+    for prof in perturbed_profiles(gs, rng, 3 * samples):
+        if len(checks) >= samples:
+            break
+        report = functionals(prof, gs.params)
+        try:
+            check_hypotheses(report, gs)
+        except PreconditionError:
+            continue
+        checks.append(key_estimate_check(report, gs))
+    ok = all(c.margin >= -1e-8 * max(1.0, abs(c.rhs)) for c in checks)
+    return checks, ok

@@ -4,7 +4,8 @@ A ground state is classified by the concavity of the action along the
 mass-preserving scaling curve at lambda = 1: d2s <= 0 is the sufficient
 condition for strong instability.  ``in_b_omega`` tests membership in the
 invariant blowup set {S < S(phi), mass <= mass(phi), K < 0, Q < 0}.
-``omega_sweep`` is the one loop that solves and classifies across omega.
+``omega_sweep`` is the one loop that solves and classifies across omega,
+and ``blowup_run`` the one evolution and audit of lambda-compressed data.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .params import (
 from .functionals import FunctionalReport, _check_resolved, functionals
 from .groundstate import (
     GroundStateResult, _check_identities, solve_ground_state)
+from .evolution import (
+    BlowupVerdict, EvolutionConfig, b_omega_invariance_audit, concavity_audit,
+    evolve, uniform_prefix, virial_check)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
-#: |margin| below this is reported as indeterminate, not forced to a side.
-BORDERLINE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class BOmegaVerdict:
 
     in_set: bool
     checks: tuple[float, float, float, float]
-    indeterminate: bool = False
 
 
 def remark13_decomposition(report: FunctionalReport,
@@ -90,10 +91,8 @@ def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
     # the mass comparison is weak; allow resampling error at the scale the
     # scaling family preserves it
     mass_band = 1e-6 * rg.mass
-    indeterminate = any(abs(c) < BORDERLINE for c in strict) or \
-        0.0 < checks[1] <= mass_band
     in_set = all(c < 0 for c in strict) and checks[1] <= mass_band
-    return BOmegaVerdict(bool(in_set), checks, bool(indeterminate))
+    return BOmegaVerdict(bool(in_set), checks)
 
 
 def _embed(gs: GroundStateResult, lam: float,
@@ -121,6 +120,30 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
         raise MembershipError(f"embedded state not in the blowup set: "
                               f"margins {verdict.checks}")
     return u0
+
+
+def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
+               cfg: EvolutionConfig) -> tuple[dict, BlowupVerdict]:
+    """Evolve phi^lambda on ``grid``, audit the run and sum it up in a row.
+
+    Status is "ok" or "inconclusive"; the concavity and virial audits are
+    None when the uniformly recorded prefix of the trace has fewer than 5
+    records.  Raises the package's ``ERRORS``.
+    """
+    verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
+    uni = uniform_prefix(verdict.trace)
+    audited = len(uni) >= 5
+    row = {
+        "lambda": lam,
+        "status": "inconclusive" if verdict.inconclusive else "ok",
+        "blew_up": verdict.blew_up,
+        "t_detect": verdict.t_detect,
+        "reason": verdict.reason or "",
+        "invariance_audit": b_omega_invariance_audit(verdict, gs),
+        "concavity_audit": concavity_audit(uni, gs) if audited else None,
+        "virial_mismatch": virial_check(uni) if audited else None,
+    }
+    return row, verdict
 
 
 def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:

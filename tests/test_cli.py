@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dpnls import stability
+from dpnls import cli
 from dpnls.cli import ExperimentConfig, main
 
 from conftest import BASE
@@ -37,24 +38,34 @@ class TestConfig:
         )
         cfg = ExperimentConfig.from_file(path)
         assert cfg.params.omega == 1.0
-        assert cfg.radial_grid().rmax == 30.0
+        assert cfg.grid.rmax == 30.0 and cfg.grid.n == 2001
         assert cfg.solver_tol == 1e-9
         assert cfg.omegas == [0.5, 1.0] and cfg.lambdas == [1.2]
         assert cfg.seed == 3
 
     def test_defaults(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path / "c.json"))
-        assert cfg.radial_grid() is None
-        assert cfg.evolution_grid().m == 65536
-        assert cfg.evolution_config().dt == 5e-4
+        assert cfg.grid is None
+        assert cfg.line_grid.m == 65536
+        assert cfg.evolution.dt == 5e-4
 
     @pytest.mark.parametrize("overrides, key", [
         ({"evolution": {"dtt": 1e-3}}, "dtt"),
         ({"sweep": {"omegas": [1.0]}}, "sweep"),
         ({"lemma": {"sample": 5}}, "sample"),
         ({"grid": 5}, "grid"),
+        ({"evolution": {"dt": 0}}, "dt"),
+        ({"grid": {"rmax": 0}}, "rmax"),
+        ({"grid": {"n": 1}}, "nodes"),
+        ({"evolution": {"record_every": 0}}, "record_every"),
+        ({"solver": {"tol": 0}}, "tol"),
+        ({"lemma": {"lambda_points": 1}}, "lambda_points"),
+        ({"out": 5}, "int"),
     ])
-    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, key):
+    def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
+                               overrides, key):
+        # an unknown key or a bad value fails at load, before any solve
+        monkeypatch.setattr(cli, "solve_ground_state", None)
         path = write_config(tmp_path / "c.json", **overrides)
         assert run("groundstate", "--config", path,
                    "--out", tmp_path / "o") == 2
