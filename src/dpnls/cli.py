@@ -56,6 +56,25 @@ def _check_keys(raw: dict):
                 raise ValueError(f"unknown config key {section}.{key!r}")
 
 
+def _value(raw: dict, name: str, kind, default=None):
+    """The config value at "section.key" or a top-level key, converted by
+    ``kind``; ``default`` if absent.  Every ValueError names the key."""
+    section, _, key = name.rpartition(".")
+    where = raw.get(section, {}) if section else raw
+    if key not in where:
+        if default is None:
+            raise ValueError(f"{name} is missing")
+        return default
+    try:
+        return kind(where[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 @dataclass
 class ExperimentConfig:
     """A run's whole configuration, validated when ``from_file`` reads it."""
@@ -78,45 +97,45 @@ class ExperimentConfig:
         """Read a config and build every field; a bad key or value raises."""
         raw = json.loads(Path(path).read_text())
         _check_keys(raw)
-        p = raw["params"]
-        params = Params(int(p["N"]), float(p["a"]), float(p["b"]),
-                        float(p["p"]), float(p["q"]), float(p["omega"]))
-        section, grid = raw.get("grid", {}), None
-        if section:
+        params = Params(_value(raw, "params.N", int),
+                        *(_value(raw, f"params.{key}", float)
+                          for key in ("a", "b", "p", "q", "omega")))
+        grid = None
+        if raw.get("grid"):
             base = default_grid(params)
-            grid = RadialGrid(float(section.get("rmax", base.rmax)),
-                              int(section.get("n", base.n)))
-        solver_tol = float(raw.get("solver", {}).get("tol", 1e-8))
+            grid = RadialGrid(_value(raw, "grid.rmax", float, base.rmax),
+                              _value(raw, "grid.n", int, base.n))
+        solver_tol = _value(raw, "solver.tol", float, 1e-8)
         if not solver_tol > 0:
             raise ValueError("solver tol must be positive")
+        line_grid = PeriodicGrid(_value(raw, "evolution.length", float, 32.0),
+                                 _value(raw, "evolution.m", int, 65536))
         # keys not given here take the EvolutionConfig defaults
-        ev = dict(raw.get("evolution", {}))
-        line_grid = PeriodicGrid(float(ev.pop("length", 32.0)),
-                                 int(ev.pop("m", 65536)))
         evolution = EvolutionConfig(
-            dt=float(ev.pop("dt", 5e-4)), t_max=float(ev.pop("t_max", 60.0)),
-            record_every=int(ev.pop("record_every", 100)),
-            **{key: float(value) for key, value in ev.items()})
-        lemma = raw.get("lemma", {})
-        pairs = int(lemma.get("pairs", 100))
-        lambda_points = int(lemma.get("lambda_points", 10000))
-        samples = int(lemma.get("samples", 200))
+            dt=_value(raw, "evolution.dt", float, 5e-4),
+            t_max=_value(raw, "evolution.t_max", float, 60.0),
+            record_every=_value(raw, "evolution.record_every", int, 100),
+            **{key: _value(raw, f"evolution.{key}", float)
+               for key in ("blowup_grad_factor", "blowup_amp_factor",
+                           "cfl_shrink") if key in raw.get("evolution", {})})
+        pairs = _value(raw, "lemma.pairs", int, 100)
+        lambda_points = _value(raw, "lemma.lambda_points", int, 10000)
+        samples = _value(raw, "lemma.samples", int, 200)
         if min(pairs, samples, lambda_points - 1) < 1:
             raise ValueError("lemma needs pairs, samples >= 1, lambda_points >= 2")
-        sweeps = raw.get("sweeps", {})
         return cls(
             params=params,
             grid=grid,
             solver_tol=solver_tol,
             line_grid=line_grid,
             evolution=evolution,
-            omegas=[float(w) for w in sweeps.get("omegas", [])],
-            lambdas=[float(l) for l in sweeps.get("lambdas", [])],
+            omegas=_value(raw, "sweeps.omegas", _floats, []),
+            lambdas=_value(raw, "sweeps.lambdas", _floats, []),
             lemma_pairs=pairs,
             lemma_lambda_points=lambda_points,
             lemma_samples=samples,
-            seed=int(raw.get("seed", 0)),
-            out=Path(raw.get("out", "results")),
+            seed=_value(raw, "seed", int, 0),
+            out=_value(raw, "out", Path, Path("results")),
         )
 
 

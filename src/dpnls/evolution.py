@@ -38,7 +38,6 @@ class EvolutionConfig:
     blowup_amp_factor: float = 20.0
     cfl_shrink: float = 0.5
     record_every: int = 20
-    adaptive: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
@@ -135,14 +134,6 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
     trace = [_record(t, u, grid, params)]
     grad0 = max(np.sqrt(trace[0].grad_norm_sq), 1e-300)
     amp0 = max(trace[0].sup_amp, 1e-300)
-    if amp0 <= 1e-300:
-        # zero data stays zero
-        step_t = cfg.dt * cfg.record_every
-        while t < cfg.t_max - 1e-12:
-            t = min(t + step_t, cfg.t_max)
-            trace.append(_record(t, u, grid, params))
-        return BlowupVerdict(False, None, None, trace, ComplexField(grid, u))
-
     if stepper.tail_fraction(u) > MAX_TAIL_FRACTION:
         return BlowupVerdict(False, 0.0, "resolution", trace, ComplexField(grid, u))
 
@@ -179,7 +170,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             return BlowupVerdict(reason != "resolution", t, reason, trace,
                                  ComplexField(grid, u))
 
-        if cfg.adaptive and amp > 1.02 * prev_amp:
+        if amp > 1.02 * prev_amp:
             dt = max(dt * cfg.cfl_shrink, DT_MIN)
 
     if trace[-1].t < t - 1e-12:

@@ -4,7 +4,7 @@ All functionals are integrals over R^N.  Radial states are integrated with
 the weight sigma_N r^{N-1}; periodic 1D states with uniform weights.  The
 scaling family v^lambda(x) = lambda^{N/2} v(lambda x) leaves the mass
 invariant and acts on the other norms by closed-form powers of lambda,
-which is what ``s_along_scaling`` evaluates.
+which is what ``at_scale`` evaluates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .params import (
     ComplexField,
     InvalidStateError,
     Params,
-    PreconditionError,
     RadialGrid,
     RadialProfile,
     ResolutionError,
@@ -40,22 +39,6 @@ def integrate_radial(grid: RadialGrid, samples: np.ndarray, N: int) -> float:
     """sigma_N * trapezoid of samples * r^{N-1} over [0, rmax]."""
     r = grid.r
     return sphere_area(N) * float(np.trapezoid(samples * r ** (N - 1), dx=grid.spacing))
-
-
-def quadrature(state: State, N: int | None = None) -> float:
-    """Integral of the state's samples over the computational domain.
-
-    Radial profiles use the full-space radial weight in dimension N, which
-    they require; periodic states use the uniform rule (exact for
-    trigonometric polynomials).
-    """
-    if isinstance(state, RadialProfile):
-        if N is None:
-            raise PreconditionError("radial quadrature needs the dimension N")
-        if not np.all(np.isfinite(state.values)):
-            raise InvalidStateError("non-finite samples")
-        return integrate_radial(state.grid, state.values, N)
-    return float(np.real(np.sum(state.values)) * state.grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -129,6 +112,20 @@ def functionals(state: State, params: Params) -> FunctionalReport:
     return report_from_norms(*raw_norms(state, params), params)
 
 
+def at_scale(report: FunctionalReport, params: Params, lam) -> FunctionalReport:
+    """Report of v^lambda from the report of v, with no re-gridding.
+
+    The mass is invariant; grad, lp and lq scale as lambda^2, lambda^alpha
+    and lambda^beta.  An array ``lam`` gives array-valued fields.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("lambda must be positive")
+    return report_from_norms(report.mass, lam ** 2 * report.grad,
+                             lam ** params.alpha * report.lp,
+                             lam ** params.beta * report.lq, params)
+
+
 def _spline_resample(nodes: np.ndarray, samples: np.ndarray,
                      at: np.ndarray) -> np.ndarray:
     """Cubic spline through (nodes, samples), real or complex, read at the
@@ -137,35 +134,6 @@ def _spline_resample(nodes: np.ndarray, samples: np.ndarray,
     at = np.asarray(at, dtype=float)
     inside = (at >= nodes[0]) & (at <= nodes[-1])
     return np.where(inside, spl(np.clip(at, nodes[0], nodes[-1])), 0.0)
-
-
-def scale_field(state: State, lam: float, params: Params | None = None) -> State:
-    """Apply the mass-preserving scaling v^lambda(x) = lambda^{N/2} v(lambda x).
-
-    Resamples by cubic spline with zero extension beyond the grid; raises
-    ResolutionError when the compressed state would be carried by fewer
-    than MIN_NODES_ACROSS_WIDTH nodes.  A radial profile takes N from
-    ``params``, which it requires; a field on the line has N = 1.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if lam == 1.0:
-        return state
-    if isinstance(state, ComplexField):
-        nodes, N = state.grid.x, 1
-    elif params is None:
-        raise PreconditionError("scaling a radial profile needs params for N")
-    else:
-        nodes, N = state.grid.r, params.N
-    amp = lam ** (N / 2.0)
-    vals = amp * _spline_resample(nodes, state.values, lam * nodes)
-    _check_resolved(vals)
-    if isinstance(state, ComplexField):
-        return ComplexField(state.grid, vals)
-    der = None
-    if state.deriv is not None:
-        der = amp * lam * _spline_resample(nodes, state.deriv, lam * nodes)
-    return RadialProfile(state.grid, vals, der)
 
 
 def _check_resolved(values: np.ndarray):
@@ -178,54 +146,6 @@ def _check_resolved(values: np.ndarray):
         raise ResolutionError(
             f"state carried by {nodes} nodes across its "
             f"half-width (need {MIN_NODES_ACROSS_WIDTH})")
-
-
-def action_at_scale(report: FunctionalReport, params: Params, lam) -> np.ndarray:
-    """S_omega(v^lambda) from the base report's norms (no re-gridding)."""
-    lam = np.asarray(lam, dtype=float)
-    a, b, p, q, w = params.a, params.b, params.p, params.q, params.omega
-    return (0.5 * lam ** 2 * report.grad + 0.5 * w * report.mass
-            - a * lam ** params.alpha / (p + 1) * report.lp
-            - b * lam ** params.beta / (q + 1) * report.lq)
-
-
-def virial_at_scale(report: FunctionalReport, params: Params, lam) -> np.ndarray:
-    """Q(v^lambda) = lambda * dS/dlambda from the base report's norms."""
-    lam = np.asarray(lam, dtype=float)
-    a, b, p, q = params.a, params.b, params.p, params.q
-    al, be = params.alpha, params.beta
-    return (lam ** 2 * report.grad
-            - a * al * lam ** al / (p + 1) * report.lp
-            - b * be * lam ** be / (q + 1) * report.lq)
-
-
-def nehari_at_scale(report: FunctionalReport, params: Params, lam) -> np.ndarray:
-    """K_omega(v^lambda) from the base report's norms."""
-    lam = np.asarray(lam, dtype=float)
-    a, b = params.a, params.b
-    return (lam ** 2 * report.grad + params.omega * report.mass
-            - a * lam ** params.alpha * report.lp
-            - b * lam ** params.beta * report.lq)
-
-
-def s_along_scaling(state_or_report, params: Params, lambdas):
-    """(lambda, S(v^lambda), Q(v^lambda)) along the scaling curve.
-
-    Accepts a state or a precomputed FunctionalReport; uses the closed-form
-    lambda-dependence so that Q = lambda * dS/dlambda holds by construction.
-    """
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.size == 0:
-        raise ValueError("empty lambda list")
-    if np.any(lams <= 0):
-        raise ValueError("lambda values must be positive")
-    if np.any(np.diff(lams) < 0):
-        raise ValueError("lambda values must be sorted")
-    report = (state_or_report if isinstance(state_or_report, FunctionalReport)
-              else functionals(state_or_report, params))
-    s = action_at_scale(report, params, lams)
-    qv = virial_at_scale(report, params, lams)
-    return [(float(l), float(sv), float(qq)) for l, sv, qq in zip(lams, s, qv)]
 
 
 def h1_distance(u: State, v: State, params: Params) -> float:

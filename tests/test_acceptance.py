@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from dpnls.params import ComplexField, Params, PeriodicGrid, PreconditionError
-from dpnls.functionals import functionals, report_from_norms
+from dpnls.functionals import at_scale, functionals, report_from_norms
 from dpnls.groundstate import first_integral_amplitude, solve_ground_state
 from dpnls.stability import (
     classify,
@@ -98,16 +98,9 @@ def test_criterion_3_sign_suite():
     _verdict(f"criterion 3: sign suite over {len(rows)} exponent pairs", ok)
 
 
-def _scaling_report(gs, lam):
-    r, params = gs.report, gs.params
-    return report_from_norms(r.mass, lam ** 2 * r.grad,
-                             lam ** params.alpha * r.lp,
-                             lam ** params.beta * r.lq, params)
-
-
 def test_criterion_4_key_estimate(gs1):
     rng = np.random.default_rng(99)
-    reports = [_scaling_report(gs1, lam)
+    reports = [at_scale(gs1.report, gs1.params, lam)
                for lam in rng.uniform(1.0 + 1e-6, 3.0, size=80)]
     # amplitude multiples mostly fail the mass hypothesis and get
     # filtered; bump perturbations supply the rest
@@ -136,8 +129,7 @@ def test_criterion_5_standing_wave_fidelity(gs_half):
     grid = PeriodicGrid(72.0, 2048)
     u0 = embed_on_line(gs_half, grid)
     t_max = 10.0 / gs_half.params.omega
-    cfg = EvolutionConfig(dt=2e-3, t_max=t_max, adaptive=False,
-                          record_every=500)
+    cfg = EvolutionConfig(dt=2e-3, t_max=t_max, record_every=500)
     verdict = evolve(u0, gs_half.params, cfg)
     sup_dev = np.max(np.abs(np.abs(verdict.final.values)
                             - np.abs(u0.values)))
@@ -147,8 +139,7 @@ def test_criterion_5_standing_wave_fidelity(gs_half):
                        for rec in verdict.trace) / abs(e0)
 
     def final_at(dt):
-        c = EvolutionConfig(dt=dt, t_max=1.0, adaptive=False,
-                            record_every=10 ** 9)
+        c = EvolutionConfig(dt=dt, t_max=1.0, record_every=10 ** 9)
         return evolve(u0, gs_half.params, c).final.values
 
     ref = final_at(5e-4)
@@ -166,8 +157,7 @@ def test_criterion_5_standing_wave_fidelity(gs_half):
 def test_criterion_6_virial_identity(gs1):
     grid = PeriodicGrid(32.0, 65536)
     u0 = make_scaled_data(gs1, 1.2, grid)
-    cfg = EvolutionConfig(dt=5e-4, t_max=0.8, adaptive=False,
-                          record_every=10)
+    cfg = EvolutionConfig(dt=5e-4, t_max=0.8, record_every=10)
     verdict = evolve(u0, gs1.params, cfg)
     window = uniform_prefix(verdict.trace)
     mismatch = virial_check(window)
@@ -175,8 +165,7 @@ def test_criterion_6_virial_identity(gs1):
     free = Params.relaxed(N=1, a=0.0, b=0.0, p=3.0, q=7.0, omega=1.0)
     fgrid = PeriodicGrid(80.0, 4096)
     fu0 = ComplexField(fgrid, np.exp(-fgrid.x ** 2 / 2).astype(complex))
-    fcfg = EvolutionConfig(dt=1e-3, t_max=1.0, adaptive=False,
-                           record_every=50)
+    fcfg = EvolutionConfig(dt=1e-3, t_max=1.0, record_every=50)
     third = variance_third_difference(evolve(fu0, free, fcfg).trace)
 
     ok = mismatch <= 1e-2 and third < 1e-6

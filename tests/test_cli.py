@@ -61,6 +61,10 @@ class TestConfig:
         ({"solver": {"tol": 0}}, "tol"),
         ({"lemma": {"lambda_points": 1}}, "lambda_points"),
         ({"out": 5}, "int"),
+        ({"evolution": {"dt": None}}, "evolution.dt"),
+        ({"params": {**BASE, "N": "one", "omega": 1.0}}, "params.N"),
+        ({"sweeps": {"omegas": [1.0, None]}}, "sweeps.omegas"),
+        ({"params": dict(BASE)}, "params.omega"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):

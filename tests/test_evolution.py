@@ -28,7 +28,7 @@ from conftest import BASE
 def standing_error(gs, grid, dt, t_max):
     """Sup deviation of |u| from phi after evolving the embedded wave."""
     u0 = embed_on_line(gs, grid)
-    cfg = EvolutionConfig(dt=dt, t_max=t_max, adaptive=False, record_every=10 ** 9)
+    cfg = EvolutionConfig(dt=dt, t_max=t_max, record_every=10 ** 9)
     verdict = evolve(u0, gs.params, cfg)
     assert not verdict.blew_up
     return float(np.max(np.abs(np.abs(verdict.final.values)
@@ -46,8 +46,7 @@ class TestBasics:
     def test_mass_conserved_to_roundoff(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
         u0 = embed_on_line(gs_half, grid)
-        cfg = EvolutionConfig(dt=2e-3, t_max=2.0, adaptive=False,
-                              record_every=100)
+        cfg = EvolutionConfig(dt=2e-3, t_max=2.0, record_every=100)
         verdict = evolve(u0, gs_half.params, cfg)
         m0 = verdict.trace[0].mass
         for rec in verdict.trace:
@@ -64,8 +63,7 @@ class TestStandingWave:
         u0 = embed_on_line(gs_half, grid)
 
         def final_state(dt):
-            cfg = EvolutionConfig(dt=dt, t_max=1.0, adaptive=False,
-                                  record_every=10 ** 9)
+            cfg = EvolutionConfig(dt=dt, t_max=1.0, record_every=10 ** 9)
             return evolve(u0, gs_half.params, cfg).final.values
 
         ref = final_state(5e-4)
@@ -77,8 +75,7 @@ class TestStandingWave:
     def test_virial_stays_flat(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
         u0 = embed_on_line(gs_half, grid)
-        cfg = EvolutionConfig(dt=2e-3, t_max=2.0, adaptive=False,
-                              record_every=20)
+        cfg = EvolutionConfig(dt=2e-3, t_max=2.0, record_every=20)
         verdict = evolve(u0, gs_half.params, cfg)
         # Q(phi) = 0, so the variance should be nearly quadratic-free
         assert virial_check(uniform_prefix(verdict.trace)) < 1e-3
@@ -91,8 +88,7 @@ class TestFreePropagation:
         params = Params.relaxed(N=1, a=0.0, b=0.0, p=3.0, q=7.0, omega=1.0)
         grid = PeriodicGrid(80.0, 4096)
         u0 = ComplexField(grid, np.exp(-grid.x ** 2 / 2).astype(complex))
-        cfg = EvolutionConfig(dt=1e-3, t_max=1.0, adaptive=False,
-                              record_every=50)
+        cfg = EvolutionConfig(dt=1e-3, t_max=1.0, record_every=50)
         verdict = evolve(u0, params, cfg)
         assert variance_third_difference(verdict.trace) < 1e-6
 

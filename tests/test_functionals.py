@@ -7,22 +7,18 @@ from dpnls.params import (
     InvalidStateError,
     Params,
     PeriodicGrid,
-    PreconditionError,
     RadialGrid,
     RadialProfile,
-    ResolutionError,
 )
 from dpnls.functionals import (
-    action_at_scale,
+    at_scale,
     functionals,
     h1_distance,
-    quadrature,
+    integrate_radial,
     report_from_norms,
-    s_along_scaling,
-    scale_field,
     sphere_area,
 )
-from conftest import gaussian_field, gaussian_profile
+from conftest import gaussian_field
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -33,25 +29,20 @@ def gauss_integral(k):
 
 
 class TestQuadrature:
-    def test_constant_on_periodic_grid(self):
+    def test_constant_on_periodic_grid(self, params1):
         grid = PeriodicGrid(7.5, 64)
         f = ComplexField(grid, np.ones(64, dtype=complex))
-        assert quadrature(f) == pytest.approx(7.5, abs=1e-14)
+        assert functionals(f, params1).mass == pytest.approx(7.5, abs=1e-14)
 
     def test_radial_gaussian_full_line(self):
         # symmetry factor 2 recovers the full-line Gaussian integral
         grid = RadialGrid(15.0, 3001)
-        prof = RadialProfile(grid, np.exp(-grid.r ** 2))
-        assert quadrature(prof, N=1) == pytest.approx(SQRT_PI, abs=1e-8)
+        assert integrate_radial(grid, np.exp(-grid.r ** 2), 1) == pytest.approx(
+            SQRT_PI, abs=1e-8)
 
     def test_zero_profile(self):
         grid = RadialGrid(5.0, 101)
-        assert quadrature(RadialProfile(grid, np.zeros(101)), N=1) == 0.0
-
-    def test_radial_needs_dimension(self):
-        grid = RadialGrid(5.0, 101)
-        with pytest.raises(PreconditionError):
-            quadrature(RadialProfile(grid, np.ones(101)))
+        assert integrate_radial(grid, np.zeros(101), 1) == 0.0
 
     def test_nonfinite_rejected(self):
         grid = RadialGrid(5.0, 101)
@@ -66,8 +57,8 @@ class TestQuadrature:
         errs = []
         for n in (51, 101, 201):
             grid = RadialGrid(15.0, n)
-            prof = RadialProfile(grid, np.exp(-grid.r ** 2))
-            errs.append(abs(quadrature(prof, N=1) - exact))
+            errs.append(abs(integrate_radial(grid, np.exp(-grid.r ** 2), 1)
+                            - exact))
         assert errs[1] <= errs[0] / 3.5 + 1e-14
         assert errs[2] <= errs[1] / 3.5 + 1e-14
 
@@ -120,69 +111,43 @@ class TestFunctionals:
 
 @given(mass=st.floats(1e-6, 1e3), grad=st.floats(1e-6, 1e3),
        lp=st.floats(1e-6, 1e3), lq=st.floats(1e-6, 1e3),
-       omega=st.floats(0.01, 100.0))
-def test_report_identities_hold_for_any_norms(mass, grad, lp, lq, omega):
+       omega=st.floats(0.01, 100.0),
+       lam1=st.floats(0.1, 10.0), lam2=st.floats(0.1, 10.0))
+def test_report_identities_hold_for_any_norms(mass, grad, lp, lq, omega,
+                                              lam1, lam2):
     params = Params(1, 1.0, 2.0, 3.0, 7.0, omega)
     rep = report_from_norms(mass, grad, lp, lq, params)
     scale = max(abs(rep.action), 1.0)
     assert abs(rep.action - 0.5 * rep.nehari - 0.5 * rep.bigf) < 1e-12 * scale
     assert abs(rep.action - rep.energy - 0.5 * omega * mass) < 1e-12 * scale
 
-
-class TestScaleField:
-    def test_identity_at_lambda_one(self, params1):
-        f = gaussian_field()
-        assert scale_field(f, 1.0) is f
-
-    def test_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            scale_field(gaussian_field(), 0.0)
-        with pytest.raises(ValueError):
-            scale_field(gaussian_field(), -2.0)
-
-    @pytest.mark.parametrize("lam", [0.5, 0.8, 1.3, 2.0])
-    def test_mass_preserved(self, params1, lam):
-        f = gaussian_field(m=8192)
-        m0 = functionals(f, params1).mass
-        m1 = functionals(scale_field(f, lam), params1).mass
-        assert m1 == pytest.approx(m0, rel=1e-6)
-
-    def test_grad_scales_quadratically(self, params1):
-        f = gaussian_field(m=8192)
-        g0 = functionals(f, params1).grad
-        g1 = functionals(scale_field(f, 2.0), params1).grad
-        assert g1 == pytest.approx(4.0 * g0, rel=1e-6)
-
-    def test_unresolvable_lambda(self, params1):
-        f = gaussian_field(length=40.0, m=256)
-        with pytest.raises(ResolutionError):
-            scale_field(f, 30.0)
-
-    def test_radial_profile_scaling(self, params1):
-        prof = gaussian_profile()
-        m0 = functionals(prof, params1).mass
-        scaled = scale_field(prof, 1.5, params1)
-        assert functionals(scaled, params1).mass == pytest.approx(m0, rel=1e-6)
-
-    def test_radial_profile_needs_params(self):
-        with pytest.raises(PreconditionError):
-            scale_field(gaussian_profile(), 1.5)
+    # the scaling family is a group action that fixes the mass
+    assert at_scale(rep, params, 1.0) == rep
+    assert at_scale(rep, params, lam1).mass == mass
+    twice = at_scale(at_scale(rep, params, lam1), params, lam2).as_record()
+    once = at_scale(rep, params, lam1 * lam2).as_record()
+    # derived fields can cancel to near zero: measure against the norms
+    size = sum(abs(once[k]) for k in ("mass", "grad", "lp", "lq"))
+    for name, value in once.items():
+        assert twice[name] == pytest.approx(value, rel=1e-12, abs=1e-12 * size)
 
 
 class TestScalingCurve:
-    def test_empty_lambda_list(self, params1):
-        with pytest.raises(ValueError):
-            s_along_scaling(gaussian_field(), params1, [])
+    def test_nonpositive_lambda(self, report, params1):
+        for lam in (0.0, [-1.0, 2.0]):
+            with pytest.raises(ValueError):
+                at_scale(report, params1, lam)
 
     def test_small_lambda_limit(self, params1):
         rep = functionals(gaussian_field(), params1)
-        (_, s, _), = s_along_scaling(rep, params1, [1e-9])
+        s = at_scale(rep, params1, 1e-9).action
         assert s == pytest.approx(0.5 * params1.omega * rep.mass, rel=1e-8)
 
     def test_matches_direct_closed_form(self, params1):
         rep = functionals(gaussian_field(), params1)
-        (_, s, q), = s_along_scaling(rep, params1, [2.0])
         lam = 2.0
+        scaled = at_scale(rep, params1, lam)
+        s, q = scaled.action, scaled.virial
         s_direct = (0.5 * lam ** 2 * rep.grad + 0.5 * rep.mass
                     - lam / 4.0 * rep.lp - lam ** 3 / 8.0 * rep.lq)
         assert s == pytest.approx(s_direct, rel=1e-12)
@@ -192,14 +157,14 @@ class TestScalingCurve:
     def test_virial_is_lambda_ds_dlambda(self, params1):
         rep = functionals(gaussian_field(), params1)
         h = 1e-7
-        s_m, s_p = (action_at_scale(rep, params1, lam) for lam in (1 - h, 1 + h))
+        s_m, s_p = at_scale(rep, params1, [1 - h, 1 + h]).action
         fd = (s_p - s_m) / (2 * h)
         assert rep.virial == pytest.approx(fd, rel=1e-7)
 
     def test_d2s_matches_finite_difference(self, params1):
         rep = functionals(gaussian_field(), params1)
         h = 1e-4
-        vals = action_at_scale(rep, params1, np.array([1 - h, 1.0, 1 + h]))
+        vals = at_scale(rep, params1, [1 - h, 1.0, 1 + h]).action
         fd = (vals[0] - 2 * vals[1] + vals[2]) / h ** 2
         assert rep.d2s == pytest.approx(fd, rel=1e-5)
 

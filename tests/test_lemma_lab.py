@@ -15,16 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpnls.params import Params, PreconditionError
-from dpnls.functionals import (
-    action_at_scale,
-    functionals,
-    report_from_norms,
-    virial_at_scale,
-)
+from dpnls.functionals import at_scale, functionals, report_from_norms
 from dpnls.lemma_lab import (
     ExponentPair,
     aim_inequality_margin,
-    f_curve,
     find_lambda0,
     g1_fn,
     g2_fn,
@@ -113,15 +107,14 @@ class TestLambdaZero:
     def test_scaled_state_crossing(self, gs1):
         # K(phi^lam) < 0 for lam > 1, and the first crossing going down in
         # scale must land back at lam0 * lam = 1
-        rep = functionals_at_scale(gs1, 1.5)
+        rep = at_scale(gs1.report, gs1.params, 1.5)
         lam0 = find_lambda0(rep, gs1.params)
         assert lam0 * 1.5 == pytest.approx(1.0, rel=1e-6)
 
     def test_residual_at_crossing(self, gs1, params1):
-        from dpnls.functionals import nehari_at_scale
-        rep = functionals_at_scale(gs1, 2.0)
+        rep = at_scale(gs1.report, gs1.params, 2.0)
         lam0 = find_lambda0(rep, params1)
-        k = nehari_at_scale(rep, params1, lam0)
+        k = at_scale(rep, params1, lam0).nehari
         assert abs(k) < 1e-10 * params1.omega * rep.mass
 
     def test_rejects_positive_nehari(self, gs1, params1):
@@ -132,34 +125,15 @@ class TestLambdaZero:
             find_lambda0(rep, params1)
 
 
-def functionals_at_scale(gs, lam):
-    """Exact report of phi^lam from the closed-form norm scalings."""
-    r, params = gs.report, gs.params
-    return report_from_norms(
-        r.mass,
-        lam ** 2 * r.grad,
-        lam ** params.alpha * r.lp,
-        lam ** params.beta * r.lq,
-        params,
-    )
-
-
 class TestFCurve:
-    def test_matches_action_minus_quadratic(self, gs1):
-        rep, params = gs1.report, gs1.params
-        lam = np.array([0.3, 0.7, 1.0, 1.4])
-        want = action_at_scale(rep, params, lam) - 0.5 * lam ** 2 * rep.virial
-        got = f_curve(rep, params, rep.virial, lam)
-        assert np.allclose(got, want, rtol=0, atol=1e-14)
-
     def test_derivative_vanishes_at_one_for_ground_state(self, gs1):
-        # d/dlam [S(phi^lam)] = Q(phi^lam)/lam and Q(phi) = 0, so with
-        # q_of_v = Q(phi) the curve is stationary at lam = 1
+        # f(lam) = S(phi^lam) - lam^2/2 * Q(phi): d/dlam [S(phi^lam)] =
+        # Q(phi^lam)/lam and Q(phi) = 0, so f is stationary at lam = 1
         rep, params = gs1.report, gs1.params
         h = 1e-5
-        d = (f_curve(rep, params, rep.virial, 1.0 + h)
-             - f_curve(rep, params, rep.virial, 1.0 - h)) / (2 * h)
-        assert abs(d) < 1e-6
+        lam = np.array([1.0 - h, 1.0 + h])
+        f = at_scale(rep, params, lam).action - 0.5 * lam ** 2 * rep.virial
+        assert abs((f[1] - f[0]) / (2 * h)) < 1e-6
 
 
 class TestRescaleToNehari:
@@ -188,7 +162,7 @@ class TestRescaleToNehari:
 class TestKeyEstimate:
     @pytest.mark.parametrize("lam", [1.1, 1.5, 2.0, 3.0])
     def test_margin_nonnegative_along_scaling(self, gs1, lam):
-        rep = functionals_at_scale(gs1, lam)
+        rep = at_scale(gs1.report, gs1.params, lam)
         chk = key_estimate_check(rep, gs1)
         assert chk.lhs < 0  # Q(phi^lam) < 0 in this regime
         assert chk.margin >= -1e-12 * max(1.0, abs(chk.rhs))
@@ -222,6 +196,6 @@ class TestKeyEstimate:
 class TestAimInequality:
     @pytest.mark.parametrize("lam", [1.2, 1.8, 2.5])
     def test_nonnegative_for_scaled_states(self, gs1, lam):
-        rep = functionals_at_scale(gs1, lam)
+        rep = at_scale(gs1.report, gs1.params, lam)
         lam0 = find_lambda0(rep, gs1.params)
         assert aim_inequality_margin(rep, gs1.params, lam0) >= -1e-10

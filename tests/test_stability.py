@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
-from dpnls.functionals import functionals, h1_distance, nehari_at_scale
+from dpnls.functionals import at_scale, functionals, h1_distance
 from dpnls import stability
 from dpnls.stability import (
     classify,
@@ -88,7 +88,7 @@ class TestMembership:
     def test_nehari_negative_along_scaling(self, gs1):
         # K(phi^lam) < 0 for every lam > 1, by the closed-form curve
         for lam in (1.05, 1.2, 1.5, 2.0, 3.0):
-            assert nehari_at_scale(gs1.report, gs1.params, lam) < 0
+            assert at_scale(gs1.report, gs1.params, lam).nehari < 0
 
 
 class TestScaledData:
@@ -102,6 +102,17 @@ class TestScaledData:
         assert functionals(u0, gs1.params).mass == pytest.approx(
             gs1.report.mass, rel=1e-6
         )
+
+    def test_matches_closed_form_scaling(self, gs1):
+        # the embedded phi^lam on the line carries the functionals the
+        # closed-form scaling laws give for phi^lam
+        for lam in (1.05, 1.2, 1.5, 2.0):
+            got = functionals(make_scaled_data(gs1, lam, GRID), gs1.params)
+            want = at_scale(gs1.report, gs1.params, lam)
+            for name in ("mass", "grad", "lp", "lq", "action", "nehari",
+                         "virial"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-6), (lam, name)
 
     def test_distance_shrinks_toward_lambda_one(self, gs1):
         phi = embed_on_line(gs1, GRID)
