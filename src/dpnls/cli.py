@@ -41,8 +41,10 @@ CONFIG_KEYS = {
 }
 
 
-def _check_keys(raw: dict):
+def _check_keys(raw):
     """Raise ValueError naming the first key CONFIG_KEYS does not list."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     for section, value in raw.items():
         if section not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {section!r}")
@@ -71,6 +73,15 @@ def _value(raw: dict, name: str, kind, default=None):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _whole(value) -> int:
+    """An integer config value: a whole number such as 2 or 2.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
@@ -97,30 +108,30 @@ class ExperimentConfig:
         """Read a config and build every field; a bad key or value raises."""
         raw = json.loads(Path(path).read_text())
         _check_keys(raw)
-        params = Params(_value(raw, "params.N", int),
+        params = Params(_value(raw, "params.N", _whole),
                         *(_value(raw, f"params.{key}", float)
                           for key in ("a", "b", "p", "q", "omega")))
         grid = None
         if raw.get("grid"):
             base = default_grid(params)
             grid = RadialGrid(_value(raw, "grid.rmax", float, base.rmax),
-                              _value(raw, "grid.n", int, base.n))
+                              _value(raw, "grid.n", _whole, base.n))
         solver_tol = _value(raw, "solver.tol", float, 1e-8)
         if not solver_tol > 0:
             raise ValueError("solver tol must be positive")
         line_grid = PeriodicGrid(_value(raw, "evolution.length", float, 32.0),
-                                 _value(raw, "evolution.m", int, 65536))
+                                 _value(raw, "evolution.m", _whole, 65536))
         # keys not given here take the EvolutionConfig defaults
         evolution = EvolutionConfig(
             dt=_value(raw, "evolution.dt", float, 5e-4),
             t_max=_value(raw, "evolution.t_max", float, 60.0),
-            record_every=_value(raw, "evolution.record_every", int, 100),
+            record_every=_value(raw, "evolution.record_every", _whole, 100),
             **{key: _value(raw, f"evolution.{key}", float)
                for key in ("blowup_grad_factor", "blowup_amp_factor",
                            "cfl_shrink") if key in raw.get("evolution", {})})
-        pairs = _value(raw, "lemma.pairs", int, 100)
-        lambda_points = _value(raw, "lemma.lambda_points", int, 10000)
-        samples = _value(raw, "lemma.samples", int, 200)
+        pairs = _value(raw, "lemma.pairs", _whole, 100)
+        lambda_points = _value(raw, "lemma.lambda_points", _whole, 10000)
+        samples = _value(raw, "lemma.samples", _whole, 200)
         if min(pairs, samples, lambda_points - 1) < 1:
             raise ValueError("lemma needs pairs, samples >= 1, lambda_points >= 2")
         return cls(
@@ -134,7 +145,7 @@ class ExperimentConfig:
             lemma_pairs=pairs,
             lemma_lambda_points=lambda_points,
             lemma_samples=samples,
-            seed=_value(raw, "seed", int, 0),
+            seed=_value(raw, "seed", _whole, 0),
             out=_value(raw, "out", Path, Path("results")),
         )
 

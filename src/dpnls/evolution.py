@@ -2,16 +2,28 @@
 
 Evolution runs on a periodic 1D grid only; ground states of any dimension
 N come from ``groundstate``, and ``stability`` embeds N = 1 profiles on the
-line.  Strang splitting: half-step exact nonlinear phase rotation, full
-linear step by the exact spectral propagator exp(-i k^2 dt), half-step
-nonlinear.  The modulus is invariant under the nonlinear flow, so that
-substep is exact; the linear step is unitary, so mass is conserved to
-roundoff.
+line.  Strang splitting N(h) L(dt) N(h), h = dt/2: the nonlinear flow N(h)
+multiplies by exp(i h theta) with theta = a|u|^{p-1} + b|u|^{q-1}, and the
+linear step L(dt) is the exact spectral propagator exp(-i k^2 dt).  N
+leaves |u| unchanged, so that substep is exact; L is unitary, so mass is
+conserved to roundoff.
+
+Because N leaves |u| unchanged, the closing half-step of one step and the
+opening half-step of the next rotate by the same theta.  Each step
+therefore evaluates theta once, from the post-linear state w, and reuses
+the closing rotation to open the next step; the rotation is rebuilt from
+the stored theta only when h changes (a dt reduction or the shorter last
+step).  A step costs three transforms: the propagator's forward/inverse
+pair and one forward transform of u_{n+1} that gives both the gradient
+norm and the spectral-tail monitor.  Every monitor reads the full step's
+state u_{n+1}; the amplitude sup|u_{n+1}| = sqrt(max |w|^2) comes from the
+same |w|^2 as theta.
 
 Finite-time blowup cannot be followed to T_max; it is detected by proxy
 thresholds (gradient-norm growth, amplitude growth) with a resolution
 monitor that declares a run inconclusive instead of mistaking aliasing
-noise for a singularity.
+noise for a singularity.  A run that takes ``MAX_STEPS`` steps before
+t_max stops as inconclusive too.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.fft
 
 from .params import ComplexField, MembershipError, Params, PeriodicGrid
 from .functionals import raw_norms, report_from_norms
@@ -26,6 +39,8 @@ from .groundstate import GroundStateResult
 
 #: Floor of the adaptive step size.
 DT_MIN = 1e-9
+#: Steps after which a run that has not reached t_max stops ("budget").
+MAX_STEPS = 10 ** 6
 #: Spectral-tail fraction above which a state counts as under-resolved.
 MAX_TAIL_FRACTION = 1e-8
 
@@ -70,13 +85,16 @@ class TraceRecord:
 class BlowupVerdict:
     blew_up: bool
     t_detect: float | None
-    reason: str | None        # "gradient", "amplitude", "numerical", "resolution"
+    # "gradient", "amplitude", "numerical", "resolution", "budget"
+    reason: str | None
     trace: list[TraceRecord] = field(default_factory=list)
     final: ComplexField | None = None
+    steps: int = 0
+    dt_reductions: int = 0
 
     @property
     def inconclusive(self) -> bool:
-        return self.reason in ("resolution", "numerical")
+        return self.reason in ("resolution", "numerical", "budget")
 
 
 def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
@@ -89,93 +107,115 @@ def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
                        rep.virial, rep.grad, var, float(np.max(np.abs(u))))
 
 
-def _nonlinear_half(u: np.ndarray, params: Params, dt: float) -> np.ndarray:
-    m = np.abs(u)
-    phase = params.a * m ** (params.p - 1) + params.b * m ** (params.q - 1)
-    return u * np.exp(0.5j * dt * phase)
-
-
 class _SpectralStepper:
-    """Exact periodic linear propagator exp(-i k^2 dt)."""
+    """The Strang step N(h) L(2h) N(h) with one theta per step, and the
+    monitors of the stepped state."""
 
-    def __init__(self, grid: PeriodicGrid):
+    def __init__(self, grid: PeriodicGrid, params: Params, u: np.ndarray):
         self.grid = grid
+        self.params = params
         self.k2 = grid.wavenumbers ** 2
+        self.band = np.abs(np.fft.fftfreq(grid.m)) >= 7.0 / 16.0
         self._dt = None
         self._prop = None
+        self._h = None
+        self.rot = np.empty(grid.m, dtype=complex)
+        self._phase(u)
 
-    def linear(self, u, dt):
+    def _phase(self, w: np.ndarray) -> np.ndarray:
+        """Store theta(|w|^2) and return |w|^2."""
+        prm = self.params
+        m2 = w.real ** 2 + w.imag ** 2
+        self.theta = (prm.a * m2 ** (0.5 * (prm.p - 1.0))
+                      + prm.b * m2 ** (0.5 * (prm.q - 1.0)))
+        self._h = None
+        return m2
+
+    def _rotation(self, h: float) -> np.ndarray:
+        """exp(i h theta), rebuilt only when theta or h changed."""
+        if h != self._h:
+            arg = h * self.theta
+            np.cos(arg, out=self.rot.real)
+            np.sin(arg, out=self.rot.imag)
+            self._h = h
+        return self.rot
+
+    def step(self, u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        """u_{n+1} (u is overwritten) and its sup norm."""
+        h = 0.5 * dt
+        u *= self._rotation(h)
         if dt != self._dt:
             self._prop = np.exp(-1j * self.k2 * dt)
             self._dt = dt
-        return np.fft.ifft(self._prop * np.fft.fft(u))
+        w = scipy.fft.fft(u, overwrite_x=True)
+        w *= self._prop
+        w = scipy.fft.ifft(w, overwrite_x=True)
+        m2 = self._phase(w)
+        w *= self._rotation(h)
+        return w, float(np.sqrt(np.max(m2)))
 
-    def grad_sq(self, u):
-        uh = np.fft.fft(u)
-        return float(np.sum(self.k2 * np.abs(uh) ** 2)
-                     * self.grid.length / self.grid.m ** 2)
-
-    def tail_fraction(self, u):
-        uh = np.abs(np.fft.fft(u))
-        m = self.grid.m
-        band = np.abs(np.fft.fftfreq(m)) >= 7.0 / 16.0
-        peak = np.max(uh)
-        return float(np.max(uh[band]) / peak) if peak > 0 else 0.0
+    def monitors(self, u: np.ndarray) -> tuple[float, float]:
+        """(||grad u||^2, spectral-tail fraction) from one transform of u."""
+        uh = scipy.fft.fft(u)
+        power = uh.real ** 2 + uh.imag ** 2
+        grad_sq = float(np.sum(self.k2 * power)
+                        * self.grid.length / self.grid.m ** 2)
+        peak = np.max(power)
+        tail = (float(np.sqrt(np.max(power[self.band]) / peak))
+                if peak > 0 else 0.0)
+        return grad_sq, tail
 
 
 def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerdict:
     """Advance the NLS from u0, recording a trace and watching for blowup."""
     grid = u0.grid
-    stepper = _SpectralStepper(grid)
-
     u = np.array(u0.values, dtype=complex)
+    stepper = _SpectralStepper(grid, params, u)
     t = 0.0
     dt = cfg.dt
+    step = reductions = 0
     trace = [_record(t, u, grid, params)]
     grad0 = max(np.sqrt(trace[0].grad_norm_sq), 1e-300)
-    amp0 = max(trace[0].sup_amp, 1e-300)
-    if stepper.tail_fraction(u) > MAX_TAIL_FRACTION:
-        return BlowupVerdict(False, 0.0, "resolution", trace, ComplexField(grid, u))
+    amp = trace[0].sup_amp
+    amp0 = max(amp, 1e-300)
 
-    step = 0
-    while t < cfg.t_max - 1e-12:
+    reason = "resolution" if stepper.monitors(u)[1] > MAX_TAIL_FRACTION else None
+    while reason is None and t < cfg.t_max - 1e-12:
+        if step == MAX_STEPS:
+            reason = "budget"
+            break
         dt_eff = min(dt, cfg.t_max - t)
-        prev_amp = float(np.max(np.abs(u)))
-        u = _nonlinear_half(u, params, dt_eff)
-        u = stepper.linear(u, dt_eff)
-        u = _nonlinear_half(u, params, dt_eff)
+        prev_amp = amp
+        u, amp = stepper.step(u, dt_eff)
         t += dt_eff
         step += 1
-        amp = float(np.max(np.abs(u)))
+        grad_sq, tail = stepper.monitors(u)
 
-        if not np.all(np.isfinite(u)):
+        # a non-finite sample of u makes every Fourier coefficient non-finite
+        if not (np.isfinite(amp) and np.isfinite(grad_sq)):
             trace.append(TraceRecord(t, np.nan, np.nan, np.nan, np.nan,
                                      np.nan, np.nan, np.nan, np.inf))
-            return BlowupVerdict(False, t, "numerical", trace, None)
+            return BlowupVerdict(False, t, "numerical", trace, None,
+                                 step, reductions)
 
         if step % cfg.record_every == 0:
             trace.append(_record(t, u, grid, params))
 
         if amp > cfg.blowup_amp_factor * amp0:
             reason = "amplitude"
-        elif np.sqrt(stepper.grad_sq(u)) > cfg.blowup_grad_factor * grad0:
+        elif np.sqrt(grad_sq) > cfg.blowup_grad_factor * grad0:
             reason = "gradient"
-        elif stepper.tail_fraction(u) > MAX_TAIL_FRACTION:
+        elif tail > MAX_TAIL_FRACTION:
             reason = "resolution"
-        else:
-            reason = None
-        if reason is not None:
-            if step % cfg.record_every != 0:
-                trace.append(_record(t, u, grid, params))
-            return BlowupVerdict(reason != "resolution", t, reason, trace,
-                                 ComplexField(grid, u))
-
-        if amp > 1.02 * prev_amp:
+        elif amp > 1.02 * prev_amp and dt > DT_MIN:
             dt = max(dt * cfg.cfl_shrink, DT_MIN)
+            reductions += 1
 
     if trace[-1].t < t - 1e-12:
         trace.append(_record(t, u, grid, params))
-    return BlowupVerdict(False, None, None, trace, ComplexField(grid, u))
+    return BlowupVerdict(reason in ("amplitude", "gradient"),
+                         None if reason is None else t, reason, trace,
+                         ComplexField(grid, u), step, reductions)
 
 
 def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:

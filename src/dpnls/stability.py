@@ -128,7 +128,8 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
 
     Status is "ok" or "inconclusive"; the concavity and virial audits are
     None when the uniformly recorded prefix of the trace has fewer than 5
-    records.  Raises the package's ``ERRORS``.
+    records.  The row also counts the steps taken and the dt reductions.
+    Raises the package's ``ERRORS``.
     """
     verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
     uni = uniform_prefix(verdict.trace)
@@ -142,6 +143,8 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "invariance_audit": b_omega_invariance_audit(verdict, gs),
         "concavity_audit": concavity_audit(uni, gs) if audited else None,
         "virial_mismatch": virial_check(uni) if audited else None,
+        "steps": verdict.steps,
+        "dt_reductions": verdict.dt_reductions,
     }
     return row, verdict
 

@@ -65,16 +65,40 @@ class TestConfig:
         ({"params": {**BASE, "N": "one", "omega": 1.0}}, "params.N"),
         ({"sweeps": {"omegas": [1.0, None]}}, "sweeps.omegas"),
         ({"params": dict(BASE)}, "params.omega"),
+        ([1, 2], "JSON object"),
+        ({"params": {**BASE, "N": 1.5, "omega": 1.0}}, "params.N"),
+        ({"grid": {"n": 2.9}}, "grid.n"),
+        ({"evolution": {"m": "64"}}, "evolution.m"),
+        ({"evolution": {"record_every": True}}, "evolution.record_every"),
+        ({"lemma": {"samples": 10.5}}, "lemma.samples"),
+        ({"seed": 0.5}, "seed"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):
         # an unknown key or a bad value fails at load, before any solve
         monkeypatch.setattr(cli, "solve_ground_state", None)
-        path = write_config(tmp_path / "c.json", **overrides)
+        path = tmp_path / "c.json"
+        if isinstance(overrides, list):    # the whole config
+            path.write_text(json.dumps(overrides))
+        else:
+            write_config(path, **overrides)
         assert run("groundstate", "--config", path,
                    "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    def test_integer_keys_accept_whole_floats(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json",
+            params={**BASE, "N": 1.0, "omega": 1.0},
+            grid={"n": 2001.0},
+            evolution={"m": 4096.0, "record_every": 10.0},
+            seed=3.0,
+        )
+        cfg = ExperimentConfig.from_file(path)
+        assert (cfg.params.N, cfg.grid.n, cfg.line_grid.m,
+                cfg.evolution.record_every, cfg.seed) == (1, 2001, 4096, 10, 3)
+        assert isinstance(cfg.grid.n, int) and isinstance(cfg.seed, int)
 
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(
@@ -172,6 +196,7 @@ class TestBlowupCommand:
         assert entry["blew_up"] is True
         assert entry["reason"] == "gradient"
         assert entry["invariance_audit"] is True
+        assert entry["steps"] > 0 and entry["dt_reductions"] >= 1
 
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")

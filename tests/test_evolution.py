@@ -12,6 +12,7 @@ import pytest
 from dpnls.params import ComplexField, Params, PeriodicGrid
 from dpnls.functionals import functionals
 from dpnls.stability import embed_on_line, make_scaled_data
+from dpnls import evolution
 from dpnls.evolution import (
     EvolutionConfig,
     b_omega_invariance_audit,
@@ -35,6 +36,28 @@ def standing_error(gs, grid, dt, t_max):
                                - np.abs(u0.values))))
 
 
+def unfused_final(u0, params, dt, t_max):
+    """Final state and step count of the unfused Strang loop: two phase
+    evaluations per step and numpy transforms, at fixed dt."""
+    k2 = u0.grid.wavenumbers ** 2
+    u = np.array(u0.values, dtype=complex)
+
+    def nonlinear_half(u, dt):
+        m = np.abs(u)
+        phase = params.a * m ** (params.p - 1) + params.b * m ** (params.q - 1)
+        return u * np.exp(0.5j * dt * phase)
+
+    t, steps = 0.0, 0
+    while t < t_max - 1e-12:
+        dt_eff = min(dt, t_max - t)
+        u = nonlinear_half(u, dt_eff)
+        u = np.fft.ifft(np.exp(-1j * k2 * dt_eff) * np.fft.fft(u))
+        u = nonlinear_half(u, dt_eff)
+        t += dt_eff
+        steps += 1
+    return u, steps
+
+
 class TestBasics:
     def test_zero_data_stays_zero(self, params1):
         grid = PeriodicGrid(20.0, 256)
@@ -51,6 +74,31 @@ class TestBasics:
         m0 = verdict.trace[0].mass
         for rec in verdict.trace:
             assert rec.mass == pytest.approx(m0, rel=1e-12)
+
+    def test_fused_loop_matches_unfused_reference(self, gs_half):
+        grid = PeriodicGrid(72.0, 2048)
+        u0 = embed_on_line(gs_half, grid)
+        # t_max is not a multiple of dt: the shorter last step rebuilds the
+        # rotation
+        dt, t_max = 2e-3, 0.5013
+        verdict = evolve(u0, gs_half.params, EvolutionConfig(dt=dt, t_max=t_max))
+        ref, steps = unfused_final(u0, gs_half.params, dt, t_max)
+        assert verdict.dt_reductions == 0 and verdict.steps == steps
+        sup = np.max(np.abs(u0.values))
+        assert np.max(np.abs(verdict.final.values - ref)) <= 1e-12 * sup
+
+    def test_step_budget_is_inconclusive(self, params1, monkeypatch):
+        monkeypatch.setattr(evolution, "MAX_STEPS", 7)
+        grid = PeriodicGrid(20.0, 256)
+        u0 = ComplexField(grid, 0.5 * np.exp(-grid.x ** 2 / 2).astype(complex))
+        cfg = EvolutionConfig(dt=1e-3, t_max=1.0, record_every=5)
+        verdict = evolve(u0, params1, cfg)
+        assert verdict.reason == "budget"
+        assert verdict.inconclusive and not verdict.blew_up
+        assert verdict.steps == 7
+        assert verdict.t_detect == pytest.approx(7e-3)
+        assert [rec.t for rec in verdict.trace] == pytest.approx(
+            [0.0, 5e-3, 7e-3])
 
 
 class TestStandingWave:
@@ -109,6 +157,7 @@ class TestBlowup:
         assert verdict.reason == "gradient"
         assert verdict.t_detect is not None and verdict.t_detect > 0
         assert not verdict.inconclusive
+        assert verdict.steps > 0 and verdict.dt_reductions >= 1
 
     def test_invariance_audit(self, blowup_run, gs1):
         _, verdict = blowup_run
