@@ -82,8 +82,15 @@ def _whole(value) -> int:
     raise ValueError(f"expected a whole number, got {value!r}")
 
 
+def _real(value) -> float:
+    """A real config value: an integer or float, not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 @dataclass
@@ -109,24 +116,24 @@ class ExperimentConfig:
         raw = json.loads(Path(path).read_text())
         _check_keys(raw)
         params = Params(_value(raw, "params.N", _whole),
-                        *(_value(raw, f"params.{key}", float)
+                        *(_value(raw, f"params.{key}", _real)
                           for key in ("a", "b", "p", "q", "omega")))
         grid = None
         if raw.get("grid"):
             base = default_grid(params)
-            grid = RadialGrid(_value(raw, "grid.rmax", float, base.rmax),
+            grid = RadialGrid(_value(raw, "grid.rmax", _real, base.rmax),
                               _value(raw, "grid.n", _whole, base.n))
-        solver_tol = _value(raw, "solver.tol", float, 1e-8)
+        solver_tol = _value(raw, "solver.tol", _real, 1e-8)
         if not solver_tol > 0:
             raise ValueError("solver tol must be positive")
-        line_grid = PeriodicGrid(_value(raw, "evolution.length", float, 32.0),
+        line_grid = PeriodicGrid(_value(raw, "evolution.length", _real, 32.0),
                                  _value(raw, "evolution.m", _whole, 65536))
         # keys not given here take the EvolutionConfig defaults
         evolution = EvolutionConfig(
-            dt=_value(raw, "evolution.dt", float, 5e-4),
-            t_max=_value(raw, "evolution.t_max", float, 60.0),
+            dt=_value(raw, "evolution.dt", _real, 5e-4),
+            t_max=_value(raw, "evolution.t_max", _real, 60.0),
             record_every=_value(raw, "evolution.record_every", _whole, 100),
-            **{key: _value(raw, f"evolution.{key}", float)
+            **{key: _value(raw, f"evolution.{key}", _real)
                for key in ("blowup_grad_factor", "blowup_amp_factor",
                            "cfl_shrink") if key in raw.get("evolution", {})})
         pairs = _value(raw, "lemma.pairs", _whole, 100)
@@ -191,6 +198,7 @@ def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         "decay_rate": gs.decay_rate,
         "bracket_lo": gs.bracket[0],
         "bracket_hi": gs.bracket[1],
+        "diagnostics": gs.diagnostics.as_record(),
         **gs.report.as_record(),
     }
     write_summary(out / "groundstate.json", record, timestamp)

@@ -3,16 +3,17 @@
 The solver shoots on the central amplitude φ(0) with bisection (overshoot =
 the trajectory crosses zero, undershoot = φ' turns positive at positive φ),
 then polishes the trajectory with a collocation BVP using the asymptotic
-Robin condition φ' + sqrt(ω) φ = 0 at the truncation radius.  Accepted
+Robin condition φ' + sqrt(ω) φ = 0 at the truncation radius, solved in
+ξ = sqrt(ω) r so that its scale does not depend on ω.  Accepted
 states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_bvp, solve_ivp
+from scipy.integrate import quad, solve_bvp, solve_ivp
 from scipy.optimize import brentq
 
 from .params import (
@@ -25,12 +26,45 @@ from .params import (
     ResolutionError,
     TailError,
 )
-from .functionals import FunctionalReport, _spline_resample, functionals
+from .functionals import (
+    FunctionalReport, _spline_resample, functionals, report_from_norms)
 
 #: Profile values are truncated where they fall below this fraction of the peak.
 TAIL_FRACTION = 1e-10
 #: Relative tolerance for certifying |K| and |Q| against the action.
 IDENTITY_RTOL = 1e-6
+#: The polish guess follows the shooting trajectory down to this fraction of
+#: the amplitude and continues it with the asymptotic tail beyond.
+SPLICE_LEVEL = 1e-6
+#: Relative width of the amplitude bracket at which bisection stops.  A
+#: trajectory from the bracket midpoint, at most half the width off the
+#: separatrix, departs from it like (width/2) e^{√ω r} while the profile
+#: decays like e^{-√ω r}.  At the splice radius e^{√ω r} = 1/SPLICE_LEVEL,
+#: so this width keeps the departure below the splice level out to there.
+BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
+#: Relative tolerance of every shot: a shot must tell apart amplitudes half
+#: the stop width from the separatrix.
+SHOT_RTOL = BISECTION_WIDTH / 2.0
+#: Amplitudes the bracket scan tries, evenly spaced up to the ceiling.
+SCAN_POINTS = 64
+#: Tolerances of the collocation polish, strictest first; a rung that does
+#: not converge falls back to the next.
+POLISH_LADDER = (1e-10, 1e-9, 3e-9)
+
+
+@dataclass(frozen=True)
+class SolveDiagnostics:
+    """What one solve did; no wall-clock time, so reruns stay identical."""
+
+    bracket_shots: int      # scan amplitudes classified before the bracket
+    bisection_shots: int
+    rung: float             # polish tolerance that converged
+    failed_rungs: tuple[tuple[float, int], ...]  # (tolerance, nodes) each
+    mesh_nodes: int         # collocation nodes of the accepted polish
+    extensions: int         # times the domain was lengthened
+
+    def as_record(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -44,6 +78,7 @@ class GroundStateResult:
     decay_rate: float
     amplitude: float            # φ(0)
     bracket: tuple[float, float]  # shooting amplitude bracket used
+    diagnostics: SolveDiagnostics
 
     def resample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(φ, φ') at arbitrary radii, zero beyond the stored grid."""
@@ -73,9 +108,9 @@ def amplitude_ceiling(params: Params) -> float:
     return 4.0 * root
 
 
-def _shoot(params: Params, amplitude: float, rmax: float, rtol: float,
-           atol: float, dense_output: bool):
-    """RK45 trajectory from φ(0) = amplitude, φ'(0) = 0 towards rmax.
+def _shoot(params: Params, amplitude: float, rmax: float,
+           dense_output: bool = False):
+    """DOP853 trajectory from φ(0) = amplitude, φ'(0) = 0 towards rmax.
 
     It stops at the first zero crossing of φ (event 0) or the first turn of
     φ' to positive values (event 1).
@@ -96,15 +131,15 @@ def _shoot(params: Params, amplitude: float, rmax: float, rtol: float,
     turn.terminal = True
     turn.direction = 1
 
-    return solve_ivp(rhs, (1e-12, rmax), [amplitude, 0.0], method="RK45",
-                     rtol=rtol, atol=atol, events=(cross, turn),
+    return solve_ivp(rhs, (1e-12, rmax), [amplitude, 0.0], method="DOP853",
+                     rtol=SHOT_RTOL, atol=1e-16, events=(cross, turn),
                      dense_output=dense_output)
 
 
 def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     """+1 if the trajectory crosses zero (amplitude too large), -1 if it
     turns back up at positive value (too small), 0 if neither event fires."""
-    sol = _shoot(params, amplitude, rmax, 1e-10, 1e-14, dense_output=False)
+    sol = _shoot(params, amplitude, rmax)
     if sol.t_events[0].size:
         return 1
     if sol.t_events[1].size:
@@ -112,88 +147,110 @@ def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     return 0
 
 
-def find_bracket(params: Params, rmax: float) -> tuple[float, float]:
-    """Amplitude bracket (lo undershoots, hi overshoots)."""
+def _scan_amplitudes(params: Params) -> np.ndarray:
     ceiling = amplitude_ceiling(params)
-    amps = np.linspace(ceiling / 64.0, ceiling, 64)
-    signs = [shoot_classify(params, float(s), rmax) for s in amps]
-    lo = hi = None
-    for s, c in zip(amps, signs):
+    return np.linspace(ceiling / SCAN_POINTS, ceiling, SCAN_POINTS)
+
+
+def find_bracket(params: Params, rmax: float) -> tuple[float, float]:
+    """Amplitude bracket (lo undershoots, hi overshoots): the scan shoots
+    upwards and stops at the first overshoot that follows an undershoot."""
+    amps = _scan_amplitudes(params)
+    lo = None
+    for s in amps:
+        c = shoot_classify(params, float(s), rmax)
         if c < 0:
             lo = float(s)
         elif c > 0 and lo is not None:
-            hi = float(s)
-            break
-    if lo is None or hi is None:
-        raise NoBracketError(
-            f"no undershoot/overshoot sign change in (0, {ceiling:.3g}]")
-    return lo, hi
+            return lo, float(s)
+    raise NoBracketError(
+        f"no undershoot/overshoot sign change in (0, {amps[-1]:.3g}]")
 
 
-def _shoot_amplitude(params: Params, rmax: float,
-                     max_iter: int = 200) -> tuple[float, tuple[float, float]]:
+def _shoot_amplitude(params: Params, rmax: float):
+    """(amplitude, scan bracket, bracket shots, bisection shots)."""
     lo, hi = find_bracket(params, rmax)
     bracket = (lo, hi)
-    for _ in range(max_iter):
+    scan_shots = int(np.searchsorted(_scan_amplitudes(params), hi)) + 1
+    # halvings that take the width below BISECTION_WIDTH * lo <= that * hi
+    halvings = max(0, int(np.ceil(np.log2((hi - lo) / (BISECTION_WIDTH * lo)))))
+    for _ in range(halvings):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        c = shoot_classify(params, mid, rmax)
-        if c > 0:
+        if shoot_classify(params, mid, rmax) > 0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), bracket
+    return 0.5 * (lo + hi), bracket, scan_shots, halvings
+
+
+def _in_r(sol_xi, sw: float):
+    """Read an interpolant of (u, u_ξ) in ξ = √ω r as (φ, φ_r) in r, with
+    the ``nu``-th r-derivative of both on request."""
+
+    def sol(r, nu=0):
+        y = sol_xi(sw * np.asarray(r, dtype=float), nu)
+        y[1] *= sw
+        return y * sw ** nu
+
+    return sol
 
 
 def _bvp_polish(params: Params, amplitude: float, rmax: float, tol: float):
-    """Collocation solve with φ'(0) = 0 and Robin decay at rmax."""
+    """Collocation solve with φ'(0) = 0 and Robin decay at rmax.
+
+    The problem is solved in ξ = √ω r, where u_ξξ + (N-1)/ξ u_ξ =
+    -force(u)/ω and the Robin condition is u_ξ + u = 0, so its scale does
+    not change with ω.  Returns the solution read in r, the ladder rung
+    that converged, the mesh size and the (tolerance, nodes) of each rung
+    that failed.
+    """
     sw = np.sqrt(params.omega)
 
-    def rhs(r, y):
-        return np.vstack([y[1], -_force(y[0], params)])
+    def rhs(x, y):
+        return np.vstack([y[1], -_force(y[0], params) / params.omega])
 
     def bc(ya, yb):
-        return np.array([ya[1], yb[1] + sw * yb[0]])
+        return np.array([ya[1], yb[1] + yb[0]])
 
     S = None
     if params.N > 1:
-        # singular term (N-1)/r * d/dr enters through S y / r
+        # singular term (N-1)/ξ d/dξ enters through S y / ξ
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
-    r0 = np.linspace(0.0, rmax, 2001)
+    x0 = np.linspace(0.0, sw * rmax, 2001)
     # shooting trajectory as initial guess, with an asymptotic tail past the
     # radius where bisection noise takes over
-    ivp = _shoot(params, amplitude, rmax, 1e-12, 1e-16, dense_output=True)
+    ivp = _shoot(params, amplitude, rmax, dense_output=True)
     # splice an exponential tail where the bisected trajectory drops below
-    # 1e-6 of the amplitude (still accurate there; garbage further out)
+    # SPLICE_LEVEL of the amplitude (still accurate there; garbage further out)
     rr = np.linspace(0.0, ivp.t[-1], 10000)
     ph = ivp.sol(rr)[0]
-    low = np.nonzero(ph < 1e-6 * amplitude)[0]
+    low = np.nonzero(ph < SPLICE_LEVEL * amplitude)[0]
     r_m = rr[low[0]] if low.size else ivp.t[-1]
-    y0 = np.empty((2, r0.size))
-    inside = r0 <= r_m
-    y0[:, inside] = ivp.sol(r0[inside])
+    y0 = np.empty((2, x0.size))
+    inside = x0 <= sw * r_m
+    y0[:, inside] = ivp.sol(x0[inside] / sw)
+    y0[1, inside] /= sw
     if not np.all(inside):
         phi_m = max(float(ivp.sol(r_m)[0]), 1e-300)
-        y0[0, ~inside] = phi_m * np.exp(-sw * (r0[~inside] - r_m))
-        y0[1, ~inside] = -sw * y0[0, ~inside]
-    # roundoff in the exponential tail can defeat the strictest tolerance,
-    # so walk a short ladder and keep the first mesh that converges
-    res = None
-    for bvp_tol in (min(tol, 1e-10), 1e-9, 3e-9):
-        res = solve_bvp(rhs, bc, r0, y0, S=S, tol=bvp_tol,
+        y0[0, ~inside] = phi_m * np.exp(-(x0[~inside] - sw * r_m))
+        y0[1, ~inside] = -y0[0, ~inside]
+    # walk the ladder and keep the first mesh that converges
+    failed = []
+    for bvp_tol in (min(tol, POLISH_LADDER[0]),) + POLISH_LADDER[1:]:
+        res = solve_bvp(rhs, bc, x0, y0, S=S, tol=bvp_tol,
                         max_nodes=60000, verbose=0)
         if res.success:
-            return res
+            return _in_r(res.sol, sw), bvp_tol, res.x.size, failed
+        failed.append((bvp_tol, res.x.size))
     raise ConvergenceError(f"BVP polish failed: {res.message}")
 
 
 def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
     """Sup-norm of the stationary equation on interior nodes via the
-    collocation interpolant's derivatives."""
-    y = sol.sol(r)
-    dy = sol.sol(r, 1)
+    collocation interpolant's r-derivatives."""
+    y = sol(r)
+    dy = sol(r, 1)
     phi, dphi = y[0], y[1]
     d2phi = dy[1]
     ri = r[1:-1]
@@ -225,14 +282,16 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
     if grid is None:
         grid = default_grid(params)
     rmax = grid.rmax
-    amp, bracket = _shoot_amplitude(params, rmax)
+    amp, bracket, scan_shots, bisection_shots = _shoot_amplitude(params, rmax)
 
+    failed = []
     for extension in range(3):
         if extension:
             rmax *= 1.5
             grid = RadialGrid(rmax, int(grid.n * 1.5))
-        sol = _bvp_polish(params, amp, rmax, tol)
-        tail = abs(sol.sol(rmax)[0]) / sol.sol(0.0)[0]
+        sol, rung, nodes, rung_failures = _bvp_polish(params, amp, rmax, tol)
+        failed += rung_failures
+        tail = abs(sol(rmax)[0]) / sol(0.0)[0]
         if tail < TAIL_FRACTION:
             break
     else:
@@ -242,7 +301,7 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
             f"{extension} domain extensions")
 
     r = grid.r
-    y = sol.sol(r)
+    y = sol(r)
     phi, dphi = y[0], y[1]
     # truncate to the positive, decreasing part above the decay floor
     floor = TAIL_FRACTION * phi[0]
@@ -264,8 +323,10 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
     if rate <= 0:
         raise CertificationError("fitted decay rate is not positive")
 
+    diagnostics = SolveDiagnostics(scan_shots, bisection_shots, rung,
+                                   tuple(failed), nodes, extension)
     return GroundStateResult(profile, params, report, residual, rate,
-                             float(phi[0]), bracket)
+                             float(phi[0]), bracket, diagnostics)
 
 
 def residual_norm(profile: RadialProfile, params: Params) -> float:
@@ -307,4 +368,38 @@ def first_integral_amplitude(params: Params) -> float:
     hi = 1.0
     while f(hi) > 0:
         hi *= 2.0
+        if hi > 1e8:
+            raise NoBracketError("no positive zero of the first integral")
     return float(brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16))
+
+
+def first_integral_report(params: Params) -> FunctionalReport:
+    """1D oracle: the functional report of the ground state by quadrature
+    over its amplitude, with no profile.
+
+    On the line φ'² = G(s) = s² g(s) with
+    g(s) = ω - 2a/(p+1) s^{p-1} - 2b/(q+1) s^{q-1}, so
+    ∫ f(φ) dx = 2∫₀^{φ(0)} f(s)/√G(s) ds and ‖φ'‖² = 2∫₀^{φ(0)} √G(s) ds.
+    The substitution s = φ(0)(1 - t²) removes the endpoint singularity, and
+    g(s) = g(s) - g(φ(0)) is summed in the form φ(0)^k - s^k, which keeps
+    it accurate where it vanishes.
+    """
+    amp = first_integral_amplitude(params)
+    a, b, p, q = params.a, params.b, params.p, params.q
+
+    def g(t):
+        shrink = np.log1p(-t * t)      # log(s / φ(0))
+        return -(2 * a / (p + 1) * amp ** (p - 1) * np.expm1((p - 1) * shrink)
+                 + 2 * b / (q + 1) * amp ** (q - 1) * np.expm1((q - 1) * shrink))
+
+    def integral(integrand):
+        # ds = -2 φ(0) t dt, so 2∫₀^{φ(0)} ... ds = 4 φ(0) ∫₀^1 ... t dt;
+        # the integrand is read at s and √g(s) = √G(s) / s
+        val, _ = quad(lambda t: integrand(amp * (1 - t * t), np.sqrt(g(t))) * t,
+                      0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        return 4.0 * amp * val
+
+    mass, lp, lq = (integral(lambda s, root_g, k=k: s ** (k - 1) / root_g)
+                    for k in (2.0, p + 1, q + 1))
+    grad = integral(lambda s, root_g: s * root_g)
+    return report_from_norms(mass, grad, lp, lq, params)

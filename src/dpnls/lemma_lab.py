@@ -174,9 +174,15 @@ def key_estimate_check(v, gs: GroundStateResult) -> KeyEstimateCheck:
     Also verifies the intermediate step S(phi) <= S(v^lambda_0) of the
     inequality chain.
     """
-    params = gs.params
-    report = v if isinstance(v, FunctionalReport) else functionals(v, params)
+    report = v if isinstance(v, FunctionalReport) else functionals(v, gs.params)
     check_hypotheses(report, gs)
+    return _key_estimate(report, gs)
+
+
+def _key_estimate(report: FunctionalReport,
+                  gs: GroundStateResult) -> KeyEstimateCheck:
+    """``key_estimate_check`` of a report whose hypotheses already hold."""
+    params = gs.params
     lam0 = find_lambda0(report, params)
     lhs = report.virial / 2.0
     rhs = report.action - gs.report.action
@@ -270,7 +276,7 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
             check_hypotheses(report, gs)
         except PreconditionError:
             continue
-        checks.append(key_estimate_check(report, gs))
+        checks.append(_key_estimate(report, gs))
         if len(checks) == samples:
             break
     ok = all(c.margin >= -1e-8 * max(1.0, abs(c.rhs)) for c in checks)

@@ -72,6 +72,14 @@ class TestConfig:
         ({"evolution": {"record_every": True}}, "evolution.record_every"),
         ({"lemma": {"samples": 10.5}}, "lemma.samples"),
         ({"seed": 0.5}, "seed"),
+        ({"params": {**BASE, "a": True, "omega": 1.0}}, "params.a"),
+        ({"params": {**BASE, "b": "1", "omega": 1.0}}, "params.b"),
+        ({"grid": {"rmax": "30"}}, "grid.rmax"),
+        ({"solver": {"tol": False}}, "solver.tol"),
+        ({"evolution": {"dt": True}}, "evolution.dt"),
+        ({"evolution": {"cfl_shrink": "0.5"}}, "evolution.cfl_shrink"),
+        ({"sweeps": {"lambdas": [True]}}, "sweeps.lambdas"),
+        ({"sweeps": {"omegas": ["1.0"]}}, "sweeps.omegas"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):
@@ -120,6 +128,18 @@ class TestGroundstateCommand:
         record = json.loads((out / "groundstate.json").read_text())
         assert record["amplitude"] == pytest.approx(1.086052, abs=1e-4)
         assert abs(record["nehari"]) < 1e-6
+
+    def test_summary_reports_solver_diagnostics(self, tmp_path):
+        path = write_config(tmp_path / "c.json")
+        assert run("groundstate", "--config", path, "--out", tmp_path,
+                   "--no-timestamp") == 0
+        diag = json.loads((tmp_path / "groundstate.json").read_text())[
+            "diagnostics"]
+        assert sorted(diag) == ["bisection_shots", "bracket_shots",
+                                "extensions", "failed_rungs", "mesh_nodes",
+                                "rung"]
+        assert diag["bracket_shots"] > 0 and diag["bisection_shots"] > 0
+        assert diag["rung"] == 1e-10 and diag["failed_rungs"] == []
 
     def test_invalid_exponents_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"

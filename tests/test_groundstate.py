@@ -25,11 +25,14 @@ from dpnls.params import (
 )
 from dpnls.functionals import functionals
 from dpnls.groundstate import (
+    BISECTION_WIDTH,
+    SCAN_POINTS,
     amplitude_ceiling,
     decay_fit,
     default_grid,
     find_bracket,
     first_integral_amplitude,
+    first_integral_report,
     residual_norm,
     shoot_classify,
     solve_ground_state,
@@ -70,6 +73,66 @@ class TestAmplitudeOracle:
 
     def test_ceiling_above_amplitude(self, params1, gs1):
         assert amplitude_ceiling(params1) > gs1.amplitude
+
+
+class TestFirstIntegralReport:
+    """The quadrature oracle for the functionals of the 1D ground state."""
+
+    def test_sech_closed_form(self):
+        # a = 0, b = 1, q = 3, omega = 1: phi = sqrt(2) sech x, so
+        # mass = 4, grad = 4/3 and ||phi||_4^4 = 16/3
+        params = Params.relaxed(N=1, a=0.0, b=1.0, p=3.0, q=3.0, omega=1.0)
+        rep = first_integral_report(params)
+        assert rep.mass == pytest.approx(4.0, rel=1e-12)
+        assert rep.grad == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert rep.lq == pytest.approx(16.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 10.0, 50.0])
+    def test_identities_vanish(self, omega):
+        rep = first_integral_report(Params(omega=omega, **BASE))
+        assert abs(rep.nehari) <= 1e-10 * abs(rep.action)
+        assert abs(rep.virial) <= 1e-10 * abs(rep.action)
+
+    def test_only_on_the_line(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            first_integral_report(
+                Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0))
+
+    def test_amplitude_search_is_capped(self):
+        # with both powers repulsive the first integral has no turning
+        # amplitude, so the doubling search must stop at its cap
+        params = Params.relaxed(N=1, a=-1.0, b=-1.0, p=3.0, q=7.0,
+                                omega=1.0)
+        with pytest.raises(NoBracketError, match="first integral"):
+            first_integral_amplitude(params)
+
+
+class TestDiagnostics:
+    @pytest.fixture(scope="class")
+    def sweep_states(self, gs_half, gs1, gs10):
+        states = [gs_half, gs1, gs10]
+        states += [solve_ground_state(Params(omega=w, **BASE))
+                   for w in (2.0, 50.0)]
+        return states
+
+    def test_strictest_rung_converges_across_sweep(self, sweep_states):
+        # the omega-sweep points, omega = 50 included
+        for gs in sweep_states:
+            diag = gs.diagnostics
+            assert diag.rung == 1e-10 and diag.failed_rungs == ()
+            assert diag.extensions == 0
+
+    def test_shot_counts(self, params1, gs1):
+        diag = gs1.diagnostics
+        # the scan stops at the overshoot that closes the bracket
+        assert diag.bracket_shots < SCAN_POINTS
+        lo, hi = gs1.bracket
+        assert hi == pytest.approx(
+            diag.bracket_shots * amplitude_ceiling(params1) / SCAN_POINTS,
+            rel=1e-12)
+        # each bisection shot halves the bracket down to the stop width
+        width = (hi - lo) / 2 ** diag.bisection_shots
+        assert width <= BISECTION_WIDTH * lo < 2 * width
 
 
 class TestCertificates:

@@ -8,9 +8,11 @@ at omega = 0.5, and the omega = 10 state has positive energy.
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
 from dpnls.functionals import at_scale, functionals, h1_distance
+from dpnls.groundstate import first_integral_report
 from dpnls import stability
 from dpnls.stability import (
     classify,
@@ -63,6 +65,27 @@ class TestClassification:
         assert [r["status"] for r in rows] == ["ok", "ok"]
         assert rows[1]["criterion_met"] and not rows[0]["criterion_met"]
         assert rows[1]["amplitude"] == gs1.amplitude
+
+
+class TestFirstIntegralOracle:
+    """The sweep against the quadrature oracle, which shares no code with
+    shooting or collocation."""
+
+    def test_sweep_d2s_matches_oracle(self, params1):
+        omegas = [0.5, 1.0, 2.0, 10.0, 50.0]
+        for row in omega_sweep(params1, omegas):
+            want = first_integral_report(params1.with_omega(row["omega"])).d2s
+            assert row["status"] == "ok"
+            assert abs(row["d2s"] - want) <= 1e-9 * abs(want), row["omega"]
+
+    def test_criterion_at_threshold(self, params1):
+        d2s = lambda w: first_integral_report(params1.with_omega(w)).d2s
+        w_star = brentq(d2s, 0.5, 1.0, xtol=1e-12)
+        assert w_star == pytest.approx(0.7487, abs=1e-4)
+        rows = omega_sweep(params1, [w_star - 1e-2, w_star + 1e-2])
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert [row["criterion_met"] for row in rows] == [
+            d2s(row["omega"]) <= 0 for row in rows] == [False, True]
 
 
 class TestMembership:
