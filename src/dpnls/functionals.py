@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 from math import gamma, pi
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .params import (
     ComplexField,
@@ -35,10 +34,11 @@ def sphere_area(N: int) -> float:
     return 2.0 * pi ** (N / 2.0) / gamma(N / 2.0)
 
 
-def integrate_radial(grid: RadialGrid, samples: np.ndarray, N: int) -> float:
-    """sigma_N * trapezoid of samples * r^{N-1} over [0, rmax]."""
-    r = grid.r
-    return sphere_area(N) * float(np.trapezoid(samples * r ** (N - 1), dx=grid.spacing))
+def radial_rule(grid: RadialGrid, N: int):
+    """The quadrature samples -> sigma_N * trapezoid of samples * r^{N-1}
+    over [0, rmax]; sigma_N and r^{N-1} are computed once per rule."""
+    sigma, weight, dx = sphere_area(N), grid.r ** (N - 1), grid.spacing
+    return lambda samples: sigma * float(np.trapezoid(samples * weight, dx=dx))
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,11 @@ def raw_norms(state: State, params: Params) -> tuple[float, float, float, float]
     mod = np.abs(np.asarray(state.values))
     if not np.all(np.isfinite(mod)):
         raise InvalidStateError("non-finite samples")
-
-    def integ(samples):
-        if isinstance(state, RadialProfile):
-            return integrate_radial(state.grid, samples, params.N)
-        return float(np.sum(samples) * state.grid.spacing)
+    if isinstance(state, RadialProfile):
+        integ = radial_rule(state.grid, params.N)
+    else:
+        dx = state.grid.spacing
+        integ = lambda samples: float(np.sum(samples) * dx)
 
     mass = integ(mod ** 2)
     grad = integ(_grad_sq_samples(state))
@@ -126,16 +126,6 @@ def at_scale(report: FunctionalReport, params: Params, lam) -> FunctionalReport:
                              lam ** params.beta * report.lq, params)
 
 
-def _spline_resample(nodes: np.ndarray, samples: np.ndarray,
-                     at: np.ndarray) -> np.ndarray:
-    """Cubic spline through (nodes, samples), real or complex, read at the
-    points ``at`` and taken as zero outside [nodes[0], nodes[-1]]."""
-    spl = CubicSpline(nodes, samples)
-    at = np.asarray(at, dtype=float)
-    inside = (at >= nodes[0]) & (at <= nodes[-1])
-    return np.where(inside, spl(np.clip(at, nodes[0], nodes[-1])), 0.0)
-
-
 def _check_resolved(values: np.ndarray):
     """Raise ResolutionError unless MIN_NODES_ACROSS_WIDTH nodes sit at or
     above half the peak of |values|."""
@@ -146,18 +136,3 @@ def _check_resolved(values: np.ndarray):
         raise ResolutionError(
             f"state carried by {nodes} nodes across its "
             f"half-width (need {MIN_NODES_ACROSS_WIDTH})")
-
-
-def h1_distance(u: State, v: State, params: Params) -> float:
-    """H^1 distance sqrt(||u-v||_{L2}^2 + ||grad(u-v)||_{L2}^2)."""
-    if u.grid != v.grid:
-        raise InvalidStateError("grids differ")
-    if isinstance(u, RadialProfile):
-        dder = None
-        if u.deriv is not None and v.deriv is not None:
-            dder = u.deriv - v.deriv
-        diff = RadialProfile(u.grid, u.values - v.values, dder)
-    else:
-        diff = ComplexField(u.grid, u.values - v.values)
-    m, g, _, _ = raw_norms(diff, params)
-    return float(np.sqrt(m + g))

@@ -11,9 +11,11 @@ states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_bvp, solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .params import (
@@ -26,8 +28,7 @@ from .params import (
     ResolutionError,
     TailError,
 )
-from .functionals import (
-    FunctionalReport, _spline_resample, functionals, report_from_norms)
+from .functionals import FunctionalReport, functionals, report_from_norms
 
 #: Profile values are truncated where they fall below this fraction of the peak.
 TAIL_FRACTION = 1e-10
@@ -80,11 +81,20 @@ class GroundStateResult:
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
 
+    @cached_property
+    def _spline(self) -> CubicSpline:
+        """One cubic spline through the stacked (φ, φ') samples, built on
+        the first ``resample`` and kept with the result."""
+        return CubicSpline(self.profile.grid.r, np.stack(
+            [self.profile.values, self.profile.deriv], axis=-1))
+
     def resample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(φ, φ') at arbitrary radii, zero beyond the stored grid."""
-        nodes = self.profile.grid.r
-        return (_spline_resample(nodes, self.profile.values, r),
-                _spline_resample(nodes, self.profile.deriv, r))
+        """(φ, φ') at arbitrary radii, zero outside [0, rmax]."""
+        rmax = self.profile.grid.rmax
+        r = np.asarray(r, dtype=float)
+        inside = ((r >= 0.0) & (r <= rmax))[..., None]
+        both = np.where(inside, self._spline(np.clip(r, 0.0, rmax)), 0.0)
+        return both[..., 0], both[..., 1]
 
 
 def _force(phi, params: Params):

@@ -19,13 +19,17 @@ from .functionals import (
     FunctionalReport,
     at_scale,
     functionals,
-    report_from_norms,
 )
 from .groundstate import GroundStateResult
 
 
 #: A sign-suite extreme within this of zero counts as having the claimed sign.
 SIGN_SLACK = 1e-9
+#: Below this |log lambda_0| the aim-inequality ratio comes from its
+#: first-order expansion.  At the switch, for alpha in [0.05, 1.95] and beta
+#: in [2.05, 6], the expansion's truncation error and the rounding of the
+#: differences are each below 2e-9 relative, under the 1e-8 chain slack.
+AIM_SERIES_LOG = 1e-5
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def check_hypotheses(report: FunctionalReport, gs: GroundStateResult) -> None:
 def key_estimate_check(v, gs: GroundStateResult) -> KeyEstimateCheck:
     """Evaluate Q(v)/2 <= S(v) - S(phi) for a state meeting the hypotheses.
 
-    Also verifies the intermediate step S(phi) <= S(v^lambda_0) of the
-    inequality chain.
+    Also verifies two intermediate steps of the inequality chain: the aim
+    inequality at lambda_0 and S(phi) <= S(v^lambda_0).
     """
     report = v if isinstance(v, FunctionalReport) else functionals(v, gs.params)
     check_hypotheses(report, gs)
@@ -186,6 +190,11 @@ def _key_estimate(report: FunctionalReport,
     lam0 = find_lambda0(report, params)
     lhs = report.virial / 2.0
     rhs = report.action - gs.report.action
+    aim = aim_inequality_margin(report, params, lam0)
+    if aim < -1e-8 * abs(params.a / (params.p + 1) * report.lp):
+        raise PreconditionError(
+            f"chain step violated: aim inequality margin {aim:.6g} < 0 "
+            f"at lambda_0 = {lam0:.6g}")
     s_at_lam0 = float(at_scale(report, params, lam0).action)
     scale = max(abs(gs.report.action), abs(s_at_lam0))
     if gs.report.action > s_at_lam0 + 1e-8 * scale:
@@ -195,43 +204,28 @@ def _key_estimate(report: FunctionalReport,
     return KeyEstimateCheck(lam0, float(lhs), float(rhs), float(rhs - lhs))
 
 
-def rescale_to_nehari(v, params: Params):
-    """Amplitude mu > 0 with K(mu v) = 0; returns (mu, report of mu*v).
-
-    K(mu v)/mu^2 is strictly decreasing in mu, so the crossing is unique.
-    """
-    report = v if isinstance(v, FunctionalReport) else functionals(v, params)
-    if report.mass <= 0:
-        raise ValueError("cannot rescale the zero state")
-    if report.lp <= 0 or report.lq <= 0:
-        raise ValueError("state needs nonvanishing power norms")
-    p, q, a, b = params.p, params.q, params.a, params.b
-    quad = report.grad + params.omega * report.mass
-
-    def k_over_mu2(mu):
-        return quad - a * mu ** (p - 1) * report.lp - b * mu ** (q - 1) * report.lq
-
-    hi = 1.0
-    while k_over_mu2(hi) > 0:
-        hi *= 2.0
-    lo = hi / 2.0
-    while k_over_mu2(lo) < 0:
-        lo *= 0.5
-    mu = float(brentq(k_over_mu2, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    return mu, report_from_norms(mu ** 2 * report.mass, mu ** 2 * report.grad,
-                                 mu ** (p + 1) * report.lp,
-                                 mu ** (q + 1) * report.lq, params)
-
-
 def aim_inequality_margin(report: FunctionalReport, params: Params,
                           lam0: float) -> float:
     """Margin of the lambda_0 comparison between the two power norms:
-    rhs_coeff * lq/(q+1) * b - a * lp/(p+1) >= 0."""
+    b/(q+1) * lq * num/den - a/(p+1) * lp >= 0, with
+    num = 2 lam0^be - be lam0^2 - 2 + be and
+    den = al lam0^2 - 2 lam0^al - al + 2.
+
+    Both vanish to second order at lam0 = 1.  They are evaluated as
+    differences lambda^k - 1 as in g1; within AIM_SERIES_LOG of lambda = 1
+    the ratio is read from its expansion L (1 + (be - al) log(lam0) / 3),
+    whose limit L = be (be - 2) / (al (2 - al)) is the value at lam0 = 1.
+    """
     al, be = params.alpha, params.beta
-    num = 2 * lam0 ** be - be * lam0 ** 2 - 2 + be
-    den = al * lam0 ** 2 - 2 * lam0 ** al - al + 2
+    ell = float(np.log(lam0))
+    if abs(ell) < AIM_SERIES_LOG:
+        ratio = be * (be - 2) / (al * (2 - al)) * (1 + (be - al) * ell / 3)
+    else:
+        num = 2 * _pow1(be, lam0) - be * _pow1(2, lam0)
+        den = al * _pow1(2, lam0) - 2 * _pow1(al, lam0)
+        ratio = num / den
     lhs = params.a / (params.p + 1) * report.lp
-    rhs = params.b / (params.q + 1) * (num / den) * report.lq
+    rhs = params.b / (params.q + 1) * ratio * report.lq
     return float(rhs - lhs)
 
 

@@ -13,12 +13,11 @@ from dpnls.params import (
 from dpnls.functionals import (
     at_scale,
     functionals,
-    h1_distance,
-    integrate_radial,
+    radial_rule,
     report_from_norms,
     sphere_area,
 )
-from conftest import gaussian_field
+from conftest import gaussian_field, h1_distance
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -37,12 +36,12 @@ class TestQuadrature:
     def test_radial_gaussian_full_line(self):
         # symmetry factor 2 recovers the full-line Gaussian integral
         grid = RadialGrid(15.0, 3001)
-        assert integrate_radial(grid, np.exp(-grid.r ** 2), 1) == pytest.approx(
+        assert radial_rule(grid, 1)(np.exp(-grid.r ** 2)) == pytest.approx(
             SQRT_PI, abs=1e-8)
 
     def test_zero_profile(self):
         grid = RadialGrid(5.0, 101)
-        assert integrate_radial(grid, np.zeros(101), 1) == 0.0
+        assert radial_rule(grid, 1)(np.zeros(101)) == 0.0
 
     def test_nonfinite_rejected(self):
         grid = RadialGrid(5.0, 101)
@@ -57,7 +56,7 @@ class TestQuadrature:
         errs = []
         for n in (51, 101, 201):
             grid = RadialGrid(15.0, n)
-            errs.append(abs(integrate_radial(grid, np.exp(-grid.r ** 2), 1)
+            errs.append(abs(radial_rule(grid, 1)(np.exp(-grid.r ** 2))
                             - exact))
         assert errs[1] <= errs[0] / 3.5 + 1e-14
         assert errs[2] <= errs[1] / 3.5 + 1e-14

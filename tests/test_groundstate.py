@@ -12,9 +12,13 @@ equation the first integral at the origin pins the amplitude to machine
 precision, and the Nehari / virial certificates are checked directly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from dpnls import groundstate
 from dpnls.params import (
     NoBracketError,
     Params,
@@ -37,9 +41,8 @@ from dpnls.groundstate import (
     shoot_classify,
     solve_ground_state,
 )
-from dpnls.lemma_lab import rescale_to_nehari
 
-from conftest import BASE, gaussian_profile
+from conftest import BASE, gaussian_profile, rescale_to_nehari
 
 
 def sech_soliton(params, grid):
@@ -234,6 +237,46 @@ class TestHigherDimension:
         assert abs(gs.report.nehari) <= 1e-6 * scale
         assert abs(gs.report.virial) <= 1e-6 * scale
         assert gs.decay_rate == pytest.approx(1.0, rel=0.1)
+
+
+class TestResample:
+    @pytest.mark.parametrize("lam", [1.0, 1.3, 2.9])
+    def test_matches_fresh_splines(self, gs1, lam):
+        grid = gs1.profile.grid
+        r = lam * grid.r
+        phi, dphi = gs1.resample(r)
+        inside = r <= grid.rmax
+        at = np.clip(r, 0.0, grid.rmax)
+        for got, samples in ((phi, gs1.profile.values),
+                             (dphi, gs1.profile.deriv)):
+            want = CubicSpline(grid.r, samples)(at)
+            assert np.array_equal(got[inside], want[inside])
+            assert np.all(got[~inside] == 0.0)
+        assert np.any(~inside) == (lam > 1.0)
+
+    def test_one_spline_per_result(self, gs1, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return CubicSpline(*args, **kwargs)
+
+        monkeypatch.setattr(groundstate, "CubicSpline", counting)
+        gs = replace(gs1)
+        for lam in (1.0, 1.5, 2.0):
+            gs.resample(lam * gs.profile.grid.r)
+        assert len(built) == 1
+
+    def test_results_do_not_share_a_spline(self, gs1):
+        prof = gs1.profile
+        doubled = replace(gs1, profile=RadialProfile(
+            prof.grid, 2.0 * prof.values, 2.0 * prof.deriv))
+        r = 1.3 * prof.grid.r
+        phi, dphi = gs1.resample(r)
+        phi2, dphi2 = doubled.resample(r)
+        assert np.array_equal(phi2, 2.0 * phi)
+        assert np.array_equal(dphi2, 2.0 * dphi)
+        assert np.array_equal(gs1.resample(r)[0], phi)
 
 
 class TestGridConsistency:

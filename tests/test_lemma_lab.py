@@ -26,12 +26,11 @@ from dpnls.lemma_lab import (
     h_fn,
     key_estimate_check,
     perturbed_profiles,
-    rescale_to_nehari,
     sample_exponent_pairs,
     sign_suite,
 )
 
-from conftest import gaussian_profile
+from conftest import gaussian_profile, rescale_to_nehari
 
 EP13 = ExponentPair(1.0, 3.0)
 
@@ -199,3 +198,29 @@ class TestAimInequality:
         rep = at_scale(gs1.report, gs1.params, lam)
         lam0 = find_lambda0(rep, gs1.params)
         assert aim_inequality_margin(rep, gs1.params, lam0) >= -1e-10
+
+    def test_limit_at_lambda_one(self, gs1):
+        # num/den is 0/0 at lambda_0 = 1; the margin takes its limit
+        # be (be - 2) / (al (2 - al)) there and is continuous across the
+        # switch to the series
+        params, rep = gs1.params, gs1.report
+        al, be = params.alpha, params.beta
+        limit = be * (be - 2) / (al * (2 - al))
+        want = (params.b / (params.q + 1) * limit * rep.lq
+                - params.a / (params.p + 1) * rep.lp)
+        assert aim_inequality_margin(rep, params, 1.0) == pytest.approx(
+            want, rel=1e-14)
+        for ell in (1e-8, 0.99e-5, 1.01e-5, 1e-4):
+            got = aim_inequality_margin(rep, params, float(np.exp(-ell)))
+            assert got == pytest.approx(want, rel=2 * ell * be)
+
+    def test_negative_margin_raises(self, gs1):
+        # norms that meet the Lemma hypotheses but carry almost no L^{q+1}
+        # norm against the L^{p+1} norm: the aim inequality fails
+        r = gs1.report
+        skewed = report_from_norms(r.mass, r.grad, 3.0 * r.lp, 1e-6 * r.lq,
+                                   gs1.params)
+        lam0 = find_lambda0(skewed, gs1.params)
+        assert aim_inequality_margin(skewed, gs1.params, lam0) < 0
+        with pytest.raises(PreconditionError, match="aim inequality"):
+            key_estimate_check(skewed, gs1)

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
-from dpnls.functionals import at_scale, functionals, h1_distance
+from dpnls.functionals import at_scale, functionals
 from dpnls.groundstate import first_integral_report
 from dpnls import stability
 from dpnls.stability import (
@@ -22,6 +22,8 @@ from dpnls.stability import (
     omega_sweep,
     remark13_decomposition,
 )
+
+from conftest import h1_distance
 
 
 GRID = PeriodicGrid(40.0, 8192)
