@@ -25,7 +25,9 @@ def main():
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 
-    params = Params(args.N, args.a, args.b, args.p, args.q, args.omegas[0])
+    # omega_sweep sets each omega of the sweep, so an inadmissible one is a
+    # row of the table, as in ``dpnls classify``; 1.0 only fills the slot
+    params = Params(args.N, args.a, args.b, args.p, args.q, 1.0)
     rows = omega_sweep(params, args.omegas)
     print(f"{'omega':>8} {'amplitude':>12} {'S':>12} {'E':>12} "
           f"{'d2s':>12}  criterion")

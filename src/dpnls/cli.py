@@ -31,9 +31,7 @@ from . import lemma_lab
 CONFIG_KEYS = {
     "params": ("N", "a", "b", "p", "q", "omega"),
     "grid": ("rmax", "n"),
-    "solver": ("tol",),
-    "evolution": ("length", "m", "dt", "t_max", "blowup_grad_factor",
-                  "blowup_amp_factor", "cfl_shrink", "record_every"),
+    "evolution": ("length", "m", "dt", "t_max", "record_every"),
     "sweeps": ("omegas", "lambdas"),
     "lemma": ("pairs", "lambda_points", "samples"),
     "seed": None,
@@ -99,7 +97,6 @@ class ExperimentConfig:
 
     params: Params
     grid: RadialGrid | None   # None: the solver's default grid
-    solver_tol: float
     line_grid: PeriodicGrid
     evolution: EvolutionConfig
     omegas: list[float]
@@ -123,19 +120,12 @@ class ExperimentConfig:
             base = default_grid(params)
             grid = RadialGrid(_value(raw, "grid.rmax", _real, base.rmax),
                               _value(raw, "grid.n", _whole, base.n))
-        solver_tol = _value(raw, "solver.tol", _real, 1e-8)
-        if not solver_tol > 0:
-            raise ValueError("solver tol must be positive")
         line_grid = PeriodicGrid(_value(raw, "evolution.length", _real, 32.0),
                                  _value(raw, "evolution.m", _whole, 65536))
-        # keys not given here take the EvolutionConfig defaults
         evolution = EvolutionConfig(
             dt=_value(raw, "evolution.dt", _real, 5e-4),
             t_max=_value(raw, "evolution.t_max", _real, 60.0),
-            record_every=_value(raw, "evolution.record_every", _whole, 100),
-            **{key: _value(raw, f"evolution.{key}", _real)
-               for key in ("blowup_grad_factor", "blowup_amp_factor",
-                           "cfl_shrink") if key in raw.get("evolution", {})})
+            record_every=_value(raw, "evolution.record_every", _whole, 100))
         pairs = _value(raw, "lemma.pairs", _whole, 100)
         lambda_points = _value(raw, "lemma.lambda_points", _whole, 10000)
         samples = _value(raw, "lemma.samples", _whole, 200)
@@ -144,7 +134,6 @@ class ExperimentConfig:
         return cls(
             params=params,
             grid=grid,
-            solver_tol=solver_tol,
             line_grid=line_grid,
             evolution=evolution,
             omegas=_value(raw, "sweeps.omegas", _floats, []),
@@ -182,12 +171,8 @@ def write_summary(path: Path, record: dict, timestamp: bool):
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _solve(cfg: ExperimentConfig):
-    return solve_ground_state(cfg.params, cfg.grid, cfg.solver_tol)
-
-
 def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
-    gs = _solve(cfg)
+    gs = solve_ground_state(cfg.params, cfg.grid)
     rows = [{"r": float(r), "phi": float(v)}
             for r, v in zip(gs.profile.grid.r, gs.profile.values)]
     write_csv(out / "profile.csv", ["r", "phi"], rows)
@@ -209,7 +194,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.omegas:
         print("classify: empty omega sweep", file=sys.stderr)
         return 2
-    rows = omega_sweep(cfg.params, cfg.omegas, cfg.grid, cfg.solver_tol)
+    rows = omega_sweep(cfg.params, cfg.omegas, cfg.grid)
     write_csv(out / "classify.csv",
               ["omega", "d2s", "energy", "criterion_met", "status"], rows)
     n_bad = sum(r["status"] != "ok" for r in rows)
@@ -225,7 +210,7 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.lambdas:
         print("blowup: empty lambda sweep", file=sys.stderr)
         return 2
-    gs = _solve(cfg)
+    gs = solve_ground_state(cfg.params, cfg.grid)
     rows = []
     for lam in cfg.lambdas:
         try:
@@ -233,7 +218,7 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         except ERRORS as exc:
             row = {"lambda": lam, "status": f"error: {exc}"}
         else:
-            write_csv(out / f"trace_lambda_{lam:g}.csv", TRACE_HEADER,
+            write_csv(out / f"trace_lambda_{lam!r}.csv", TRACE_HEADER,
                       [rec.as_record() for rec in verdict.trace])
         rows.append(row)
     write_summary(out / "blowup_summary.json", {"runs": rows}, timestamp)
@@ -243,15 +228,14 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
 def cmd_verify_lemma(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     pairs = lemma_lab.sample_exponent_pairs(rng, cfg.lemma_pairs)
-    lam_grid = np.linspace(1e-6, 1.0 - 1e-6, cfg.lemma_lambda_points)
-    rows = lemma_lab.sign_suite(pairs, lam_grid)
+    rows = lemma_lab.sign_suite(pairs, cfg.lemma_lambda_points)
     write_csv(out / "sign_suite.csv",
               ["alpha", "beta", "h_min", "g1_min", "g2_max", "g3_min",
                "g1_max_increase", "g3_max_increase"], rows)
     sign_ok = lemma_lab.signs_hold(rows)
 
-    checks, ke_ok = lemma_lab.key_estimate_audit(_solve(cfg), rng,
-                                                 cfg.lemma_samples)
+    gs = solve_ground_state(cfg.params, cfg.grid)
+    checks, ke_ok = lemma_lab.key_estimate_audit(gs, rng, cfg.lemma_samples)
     write_csv(out / "key_estimate.csv", ["lambda0", "lhs", "rhs", "margin"],
               [asdict(c) for c in checks])
     write_summary(out / "lemma_summary.json",

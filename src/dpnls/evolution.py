@@ -20,7 +20,8 @@ state u_{n+1}; the amplitude sup|u_{n+1}| = sqrt(max |w|^2) comes from the
 same |w|^2 as theta.
 
 Finite-time blowup cannot be followed to T_max; it is detected by proxy
-thresholds (gradient-norm growth, amplitude growth) with a resolution
+thresholds (``BLOWUP_GRAD_FACTOR`` on the gradient norm,
+``BLOWUP_AMP_FACTOR`` on the amplitude) with a resolution
 monitor that declares a run inconclusive instead of mistaking aliasing
 noise for a singularity.  A run that takes ``MAX_STEPS`` steps before
 t_max stops as inconclusive too.
@@ -43,24 +44,28 @@ DT_MIN = 1e-9
 MAX_STEPS = 10 ** 6
 #: Spectral-tail fraction above which a state counts as under-resolved.
 MAX_TAIL_FRACTION = 1e-8
+#: Growth of ||grad u|| over its initial value that counts as blowup.
+BLOWUP_GRAD_FACTOR = 50.0
+#: Growth of sup|u| over its initial value that counts as blowup.
+BLOWUP_AMP_FACTOR = 20.0
+#: Factor by which dt shrinks when sup|u| grows by more than 2 % in a step.
+CFL_SHRINK = 0.5
+#: Relative slack of the conserved quantities and the virial bound in
+#: ``b_omega_invariance_audit``.
+INVARIANCE_DRIFT = 1e-6
+#: Relative slack of the variance-curvature bound in ``concavity_audit``.
+CONCAVITY_SLACK = 1e-2
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
     t_max: float
-    blowup_grad_factor: float = 50.0
-    blowup_amp_factor: float = 20.0
-    cfl_shrink: float = 0.5
     record_every: int = 20
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        if self.blowup_grad_factor <= 1 or self.blowup_amp_factor <= 1:
-            raise ValueError("blowup thresholds must exceed 1")
-        if not (0 < self.cfl_shrink < 1):
-            raise ValueError("cfl_shrink must lie in (0, 1)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -201,14 +206,14 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         if step % cfg.record_every == 0:
             trace.append(_record(t, u, grid, params))
 
-        if amp > cfg.blowup_amp_factor * amp0:
+        if amp > BLOWUP_AMP_FACTOR * amp0:
             reason = "amplitude"
-        elif np.sqrt(grad_sq) > cfg.blowup_grad_factor * grad0:
+        elif np.sqrt(grad_sq) > BLOWUP_GRAD_FACTOR * grad0:
             reason = "gradient"
         elif tail > MAX_TAIL_FRACTION:
             reason = "resolution"
         elif amp > 1.02 * prev_amp and dt > DT_MIN:
-            dt = max(dt * cfg.cfl_shrink, DT_MIN)
+            dt = max(dt * CFL_SHRINK, DT_MIN)
             reductions += 1
 
     if trace[-1].t < t - 1e-12:
@@ -265,8 +270,7 @@ def variance_third_difference(trace: list[TraceRecord]) -> float:
 
 
 def b_omega_invariance_audit(verdict: BlowupVerdict,
-                             gs: GroundStateResult,
-                             drift_tol: float = 1e-6) -> bool:
+                             gs: GroundStateResult) -> bool:
     """All recorded states stay in the blowup set and obey the virial bound
     8 Q(u(t)) <= 16 (S(u0) - S(phi)) up to detection."""
     if not verdict.trace:
@@ -279,25 +283,25 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
             and u0_checks[2] < 0 and u0_checks[3] < 0):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
+    bound_slack = INVARIANCE_DRIFT * max(1.0, abs(bound))
     scale = max(1.0, abs(ref.action))
     for rec in verdict.trace:
         # the record at detection time itself is past the step-size control
         # horizon; conservation there reflects integrator breakdown, not flow
         if verdict.t_detect is not None and rec.t >= verdict.t_detect - 1e-12:
             break
-        ok = (rec.action - ref.action < drift_tol * scale
-              and rec.mass - ref.mass <= 1e-6 * ref.mass + drift_tol * ref.mass
+        ok = (rec.action - ref.action < INVARIANCE_DRIFT * scale
+              and rec.mass - ref.mass <= (1e-6 + INVARIANCE_DRIFT) * ref.mass
               and rec.nehari < 0
               and rec.virial_q < 0
-              and 8.0 * rec.virial_q <= bound + drift_tol * max(1.0, abs(bound)))
+              and 8.0 * rec.virial_q <= bound + bound_slack)
         if not ok:
             return False
     return True
 
 
-def concavity_audit(trace: list[TraceRecord], gs: GroundStateResult,
-                    tol: float = 1e-2) -> bool:
+def concavity_audit(trace: list[TraceRecord], gs: GroundStateResult) -> bool:
     """Second difference of the variance stays below 16 (S(u0) - S(phi))."""
     d2 = _variance_d2(trace)
     bound = 16.0 * (trace[0].action - gs.report.action)
-    return bool(np.all(d2 <= bound + tol * max(1.0, abs(bound))))
+    return bool(np.all(d2 <= bound + CONCAVITY_SLACK * max(1.0, abs(bound))))

@@ -51,6 +51,10 @@ SCAN_POINTS = 64
 #: Tolerances of the collocation polish, strictest first; a rung that does
 #: not converge falls back to the next.
 POLISH_LADDER = (1e-10, 1e-9, 3e-9)
+#: Sup-norm of the stationary equation residual above which a solve fails.
+RESIDUAL_TOL = 1e-8
+#: Nodes of the default grid per ground-state width 1/sqrt(ω).
+NODES_PER_WIDTH = 160
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def _in_r(sol_xi, sw: float):
     return sol
 
 
-def _bvp_polish(params: Params, amplitude: float, rmax: float, tol: float):
+def _bvp_polish(params: Params, amplitude: float, rmax: float):
     """Collocation solve with φ'(0) = 0 and Robin decay at rmax.
 
     The problem is solved in ξ = √ω r, where u_ξξ + (N-1)/ξ u_ξ =
@@ -247,7 +251,7 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float, tol: float):
         y0[1, ~inside] = -y0[0, ~inside]
     # walk the ladder and keep the first mesh that converges
     failed = []
-    for bvp_tol in (min(tol, POLISH_LADDER[0]),) + POLISH_LADDER[1:]:
+    for bvp_tol in POLISH_LADDER:
         res = solve_bvp(rhs, bc, x0, y0, S=S, tol=bvp_tol,
                         max_nodes=60000, verbose=0)
         if res.success:
@@ -278,16 +282,13 @@ def _check_identities(report: FunctionalReport):
                 f"|{name}| = {abs(val):.2e} exceeds {IDENTITY_RTOL:.0e} * action")
 
 
-def default_grid(params: Params, nodes_per_unit: float = 160.0) -> RadialGrid:
+def default_grid(params: Params) -> RadialGrid:
     """Truncation at 25/sqrt(ω) with spacing resolving the width 1/sqrt(ω)."""
-    sw = np.sqrt(params.omega)
-    rmax = 25.0 / sw
-    n = int(np.ceil(nodes_per_unit * 25.0)) + 1
-    return RadialGrid(rmax, n)
+    return RadialGrid(25.0 / np.sqrt(params.omega), 25 * NODES_PER_WIDTH + 1)
 
 
-def solve_ground_state(params: Params, grid: RadialGrid | None = None,
-                       tol: float = 1e-8) -> GroundStateResult:
+def solve_ground_state(params: Params,
+                       grid: RadialGrid | None = None) -> GroundStateResult:
     """Shoot + polish + certify a positive decaying ground state."""
     if grid is None:
         grid = default_grid(params)
@@ -299,7 +300,7 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
         if extension:
             rmax *= 1.5
             grid = RadialGrid(rmax, int(grid.n * 1.5))
-        sol, rung, nodes, rung_failures = _bvp_polish(params, amp, rmax, tol)
+        sol, rung, nodes, rung_failures = _bvp_polish(params, amp, rmax)
         failed += rung_failures
         tail = abs(sol(rmax)[0]) / sol(0.0)[0]
         if tail < TAIL_FRACTION:
@@ -323,8 +324,9 @@ def solve_ground_state(params: Params, grid: RadialGrid | None = None,
     profile = RadialProfile(grid, phi, dphi)
 
     residual = _equation_residual(sol, params, grid.r)
-    if residual > max(tol, 1e-8):
-        raise ConvergenceError(f"stationary residual {residual:.2e} above tol")
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"stationary residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
 
     report = functionals(profile, params)
     _check_identities(report)

@@ -30,6 +30,8 @@ SIGN_SLACK = 1e-9
 #: in [2.05, 6], the expansion's truncation error and the rounding of the
 #: differences are each below 2e-9 relative, under the 1e-8 chain slack.
 AIM_SERIES_LOG = 1e-5
+#: Largest relative bump height of a ``perturbed_profiles`` candidate.
+MAX_BUMP = 0.1
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,13 @@ def sample_exponent_pairs(rng: np.random.Generator, count: int) -> list[Exponent
     return [ExponentPair(float(a), float(b)) for a, b in zip(al, be)]
 
 
-def sign_suite(pairs, lam_grid=None) -> list[dict]:
-    """Worst-case values of h, g1, g2, g3 over a lambda grid per pair.
+def sign_suite(pairs, points: int = 10000) -> list[dict]:
+    """Worst-case values of h, g1, g2, g3 over a grid of ``points``
+    lambdas per pair.
 
     The grid stays 1e-6 away from both endpoints; claims live on (0, 1).
     """
-    if lam_grid is None:
-        lam_grid = np.linspace(1e-6, 1.0 - 1e-6, 10000)
+    lam_grid = np.linspace(1e-6, 1.0 - 1e-6, points)
     rows = []
     for ep in pairs:
         hv = h_fn(lam_grid, ep)
@@ -230,7 +232,7 @@ def aim_inequality_margin(report: FunctionalReport, params: Params,
 
 
 def perturbed_profiles(gs: GroundStateResult, rng: np.random.Generator,
-                       count: int, max_eps: float = 0.1):
+                       count: int):
     """Candidate states (1 + eps*bump) * phi^lam with analytic derivatives.
 
     Yields RadialProfile candidates; callers filter them through the Lemma
@@ -241,7 +243,7 @@ def perturbed_profiles(gs: GroundStateResult, rng: np.random.Generator,
     out = []
     for _ in range(count):
         lam = rng.uniform(1.0, 3.0)
-        eps = rng.uniform(-max_eps, max_eps)
+        eps = rng.uniform(-MAX_BUMP, MAX_BUMP)
         r0 = rng.uniform(0.0, g.rmax / 4.0)
         w = rng.uniform(0.5, 3.0) / np.sqrt(gs.params.omega)
         base, dbase = gs.resample(lam * r)
@@ -260,7 +262,8 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
     perturbed states, drawn one at a time, that meet the Lemma hypotheses.
 
     A kept state that fails a step of the proof's chain raises
-    PreconditionError; ``ok`` means every margin is >= -1e-8 max(1, |rhs|).
+    PreconditionError; ``ok`` means ``samples`` states were kept and every
+    margin is >= -1e-8 max(1, |rhs|).
     """
     checks = []
     for _ in range(3 * samples):
@@ -273,5 +276,6 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
         checks.append(_key_estimate(report, gs))
         if len(checks) == samples:
             break
-    ok = all(c.margin >= -1e-8 * max(1.0, abs(c.rhs)) for c in checks)
+    ok = len(checks) == samples and all(
+        c.margin >= -1e-8 * max(1.0, abs(c.rhs)) for c in checks)
     return checks, ok

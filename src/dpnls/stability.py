@@ -154,8 +154,8 @@ def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:
     return _embed(gs, 1.0, grid)
 
 
-def omega_sweep(params: Params, omegas, grid: RadialGrid | None = None,
-                tol: float = 1e-8) -> list[dict]:
+def omega_sweep(params: Params, omegas,
+                grid: RadialGrid | None = None) -> list[dict]:
     """Solve and classify the ground state of ``params`` at each omega.
 
     One row per omega with omega, amplitude, action, energy, d2s,
@@ -169,7 +169,7 @@ def omega_sweep(params: Params, omegas, grid: RadialGrid | None = None,
         row = {"omega": w, "amplitude": nan, "action": nan, "energy": nan,
                "d2s": nan, "criterion_met": False, "status": "ok"}
         try:
-            gs = solve_ground_state(params.with_omega(w), grid, tol)
+            gs = solve_ground_state(params.with_omega(w), grid)
             rep = classify(gs)
         except ERRORS as exc:
             row["status"] = f"error: {exc}"

@@ -1,14 +1,17 @@
 """Command-line interface tests: configs, exit codes, output files,
 and seeded determinism."""
 
+import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from dpnls import stability
+from dpnls import evolution, stability
 from dpnls import cli
 from dpnls.cli import ExperimentConfig, main
+from dpnls.evolution import TraceRecord
 
 from conftest import BASE
 
@@ -32,14 +35,12 @@ class TestConfig:
         path = write_config(
             tmp_path / "c.json",
             grid={"rmax": 30.0, "n": 2001},
-            solver={"tol": 1e-9},
             sweeps={"omegas": [0.5, 1.0], "lambdas": [1.2]},
             seed=3,
         )
         cfg = ExperimentConfig.from_file(path)
         assert cfg.params.omega == 1.0
         assert cfg.grid.rmax == 30.0 and cfg.grid.n == 2001
-        assert cfg.solver_tol == 1e-9
         assert cfg.omegas == [0.5, 1.0] and cfg.lambdas == [1.2]
         assert cfg.seed == 3
 
@@ -58,7 +59,7 @@ class TestConfig:
         ({"grid": {"rmax": 0}}, "rmax"),
         ({"grid": {"n": 1}}, "nodes"),
         ({"evolution": {"record_every": 0}}, "record_every"),
-        ({"solver": {"tol": 0}}, "tol"),
+        ({"solver": {"tol": 1e-3}}, "solver"),
         ({"lemma": {"lambda_points": 1}}, "lambda_points"),
         ({"out": 5}, "int"),
         ({"evolution": {"dt": None}}, "evolution.dt"),
@@ -75,11 +76,13 @@ class TestConfig:
         ({"params": {**BASE, "a": True, "omega": 1.0}}, "params.a"),
         ({"params": {**BASE, "b": "1", "omega": 1.0}}, "params.b"),
         ({"grid": {"rmax": "30"}}, "grid.rmax"),
-        ({"solver": {"tol": False}}, "solver.tol"),
+        ({"grid": {"rmax": False}}, "grid.rmax"),
         ({"evolution": {"dt": True}}, "evolution.dt"),
-        ({"evolution": {"cfl_shrink": "0.5"}}, "evolution.cfl_shrink"),
+        ({"evolution": {"t_max": "60"}}, "evolution.t_max"),
         ({"sweeps": {"lambdas": [True]}}, "sweeps.lambdas"),
         ({"sweeps": {"omegas": ["1.0"]}}, "sweeps.omegas"),
+        ({"evolution": {"cfl_shrink": 0.5}}, "cfl_shrink"),
+        ({"evolution": {"blowup_grad_factor": 10.0}}, "blowup_grad_factor"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):
@@ -117,6 +120,15 @@ class TestConfig:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
             ExperimentConfig.from_file(path)
+
+    def test_readme_example_lists_every_key(self):
+        # the README says a key its example does not show is a config error
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Example config:")[1]
+        example = json.loads(block.split("```json")[1].split("```")[0])
+        shown = {section: tuple(value) if isinstance(value, dict) else None
+                 for section, value in example.items()}
+        assert shown == cli.CONFIG_KEYS
 
 
 class TestGroundstateCommand:
@@ -197,14 +209,15 @@ class TestClassifyCommand:
 
 
 class TestBlowupCommand:
-    def test_quick_run(self, tmp_path):
+    def test_quick_run(self, tmp_path, monkeypatch):
         # modest grid with a lowered detection threshold keeps this fast;
         # the point is the plumbing, not a converged blowup certificate
+        monkeypatch.setattr(evolution, "BLOWUP_GRAD_FACTOR", 10.0)
         path = write_config(
             tmp_path / "c.json",
             sweeps={"lambdas": [1.5]},
             evolution={"length": 32.0, "m": 8192, "dt": 1e-3, "t_max": 5.0,
-                       "blowup_grad_factor": 10.0, "record_every": 20},
+                       "record_every": 20},
         )
         out = tmp_path / "out"
         assert run("blowup", "--config", path, "--out", out,
@@ -221,6 +234,27 @@ class TestBlowupCommand:
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert run("blowup", "--config", path, "--out", tmp_path / "o") == 2
+
+    def test_one_trace_file_per_lambda(self, tmp_path, monkeypatch):
+        # lambdas that agree to six digits still get a trace file each
+        def stub_run(gs, lam, grid, cfg):
+            record = TraceRecord(lam, *[0.0] * 8)
+            return {"lambda": lam}, SimpleNamespace(trace=[record])
+        monkeypatch.setattr(cli, "solve_ground_state", lambda *a: None)
+        monkeypatch.setattr(cli, "blowup_run", stub_run)
+        lambdas = [1.000001, 1.000002, 1.2, 1.5]
+        path = write_config(tmp_path / "c.json", sweeps={"lambdas": lambdas})
+        out = tmp_path / "out"
+        assert run("blowup", "--config", path, "--out", out,
+                   "--no-timestamp") == 0
+        names = sorted(f.name for f in out.glob("trace_lambda_*.csv"))
+        assert names == ["trace_lambda_1.000001.csv",
+                         "trace_lambda_1.000002.csv",
+                         "trace_lambda_1.2.csv", "trace_lambda_1.5.csv"]
+        for lam in lambdas:
+            with open(out / f"trace_lambda_{lam!r}.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            assert float(row["t"]) == lam
 
 
 class TestVerifyLemmaCommand:
@@ -253,3 +287,17 @@ class TestVerifyLemmaCommand:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between seeded reruns"
+
+    def test_short_key_estimate_sample_fails(self, tmp_path):
+        # at this seed no candidate meets the Lemma hypotheses, so the
+        # audit keeps 0 of the 1 requested samples: not a pass
+        path = write_config(
+            tmp_path / "c.json",
+            lemma={"pairs": 2, "lambda_points": 100, "samples": 1})
+        out = tmp_path / "out"
+        assert run("verify-lemma", "--config", path, "--out", out,
+                   "--seed", 2, "--no-timestamp") == 1
+        summary = json.loads((out / "lemma_summary.json").read_text())
+        assert summary["key_estimate_samples"] == 0
+        assert summary["key_estimate_ok"] is False
+        assert summary["sign_suite_ok"] is True

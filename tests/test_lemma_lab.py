@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dpnls.params import Params, PreconditionError
 from dpnls.functionals import at_scale, functionals, report_from_norms
+from dpnls import lemma_lab
 from dpnls.lemma_lab import (
     ExponentPair,
     aim_inequality_margin,
@@ -24,6 +25,7 @@ from dpnls.lemma_lab import (
     g2_fn,
     g3_fn,
     h_fn,
+    key_estimate_audit,
     key_estimate_check,
     perturbed_profiles,
     sample_exponent_pairs,
@@ -83,6 +85,12 @@ class TestSignSuite:
             # monotonicity observed on the sampling grid
             assert row["g1_max_increase"] <= 1e-9
             assert row["g3_max_increase"] <= 1e-9
+
+    def test_points_set_the_grid(self):
+        (row,) = sign_suite([EP13], 3)
+        lam = np.linspace(1e-6, 1.0 - 1e-6, 3)
+        assert row["h_min"] == float(np.min(h_fn(lam, EP13)))
+        assert row["g2_max"] == float(np.max(g2_fn(lam, EP13)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,6 +198,15 @@ class TestKeyEstimate:
         rep = functionals(gaussian_profile(width=0.2), params1)
         with pytest.raises(PreconditionError):
             key_estimate_check(rep, gs1)
+
+    def test_audit_short_of_samples_fails(self, gs1, monkeypatch):
+        # fewer kept states than requested is not a pass, even with no
+        # failing margin among them
+        def reject(report, gs):
+            raise PreconditionError("rejected")
+        monkeypatch.setattr(lemma_lab, "check_hypotheses", reject)
+        checks, ok = key_estimate_audit(gs1, np.random.default_rng(0), 2)
+        assert checks == [] and ok is False
 
 
 class TestAimInequality:

@@ -23,11 +23,13 @@ def run_script(name, *args):
 
 def test_omega_sweep_script(tmp_path):
     out = tmp_path / "sweep.csv"
-    run_script("omega_sweep.py", "--omegas", 0.5, 1, "--csv", out)
+    # an inadmissible omega is a row of the table, as in ``dpnls classify``
+    run_script("omega_sweep.py", "--omegas", -1, 0.5, 1, "--csv", out)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["criterion_met"] for r in rows] == ["false", "true"]
-    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r["criterion_met"] for r in rows] == ["false", "false", "true"]
+    assert [r["status"] for r in rows] == [
+        "error: omega must be positive", "ok", "ok"]
 
 
 def test_lemma_report_script():
