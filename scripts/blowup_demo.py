@@ -34,7 +34,7 @@ def main():
           f"residual {gs.residual:.2e}")
 
     grid = PeriodicGrid(args.length, args.m)
-    cfg = EvolutionConfig(dt=args.dt, t_max=args.t_max, record_every=100)
+    cfg = EvolutionConfig(dt=args.dt, t_max=args.t_max)
     print(f"evolving lambda = {args.lam} data "
           f"(grid {args.m} points, dt = {args.dt:g}) ...")
     row, verdict = blowup_run(gs, args.lam, grid, cfg)

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import ERRORS, Params, PeriodicGrid, RadialGrid
+from .params import Params, PeriodicGrid, RadialGrid
 from .groundstate import default_grid, solve_ground_state
-from .stability import blowup_run, omega_sweep
+from .stability import blowup_sweep, omega_sweep
 from .evolution import EvolutionConfig, TraceRecord
 from . import lemma_lab
 
@@ -125,7 +125,8 @@ class ExperimentConfig:
         evolution = EvolutionConfig(
             dt=_value(raw, "evolution.dt", _real, 5e-4),
             t_max=_value(raw, "evolution.t_max", _real, 60.0),
-            record_every=_value(raw, "evolution.record_every", _whole, 100))
+            record_every=_value(raw, "evolution.record_every", _whole,
+                                EvolutionConfig.record_every))
         pairs = _value(raw, "lemma.pairs", _whole, 100)
         lambda_points = _value(raw, "lemma.lambda_points", _whole, 10000)
         samples = _value(raw, "lemma.samples", _whole, 200)
@@ -211,17 +212,13 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         print("blowup: empty lambda sweep", file=sys.stderr)
         return 2
     gs = solve_ground_state(cfg.params, cfg.grid)
-    rows = []
-    for lam in cfg.lambdas:
-        try:
-            row, verdict = blowup_run(gs, lam, cfg.line_grid, cfg.evolution)
-        except ERRORS as exc:
-            row = {"lambda": lam, "status": f"error: {exc}"}
-        else:
+    runs = blowup_sweep(gs, cfg.lambdas, cfg.line_grid, cfg.evolution)
+    for lam, (_, verdict) in zip(cfg.lambdas, runs):
+        if verdict is not None:
             write_csv(out / f"trace_lambda_{lam!r}.csv", TRACE_HEADER,
                       [rec.as_record() for rec in verdict.trace])
-        rows.append(row)
-    write_summary(out / "blowup_summary.json", {"runs": rows}, timestamp)
+    write_summary(out / "blowup_summary.json",
+                  {"runs": [row for row, _ in runs]}, timestamp)
     return 0
 
 

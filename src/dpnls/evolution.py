@@ -29,7 +29,7 @@ t_max stops as inconclusive too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy.fft
@@ -53,6 +53,10 @@ CFL_SHRINK = 0.5
 #: Relative slack of the conserved quantities and the virial bound in
 #: ``b_omega_invariance_audit``.
 INVARIANCE_DRIFT = 1e-6
+#: Relative band within which mass(v) <= mass(phi) holds in blowup-set
+#: membership: the resampling error at the scale the scaling family
+#: preserves the mass.  ``stability.in_b_omega`` reads it too.
+MASS_BAND = 1e-6
 #: Relative slack of the variance-curvature bound in ``concavity_audit``.
 CONCAVITY_SLACK = 1e-2
 
@@ -61,7 +65,7 @@ CONCAVITY_SLACK = 1e-2
 class EvolutionConfig:
     dt: float
     t_max: float
-    record_every: int = 20
+    record_every: int = 100
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
@@ -92,10 +96,11 @@ class BlowupVerdict:
     t_detect: float | None
     # "gradient", "amplitude", "numerical", "resolution", "budget"
     reason: str | None
-    trace: list[TraceRecord] = field(default_factory=list)
-    final: ComplexField | None = None
-    steps: int = 0
-    dt_reductions: int = 0
+    trace: list[TraceRecord]
+    final: ComplexField | None
+    steps: int
+    dt_reductions: int
+    dt_min: float   # smallest step size the control reached
 
     @property
     def inconclusive(self) -> bool:
@@ -201,7 +206,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             trace.append(TraceRecord(t, np.nan, np.nan, np.nan, np.nan,
                                      np.nan, np.nan, np.nan, np.inf))
             return BlowupVerdict(False, t, "numerical", trace, None,
-                                 step, reductions)
+                                 step, reductions, dt)
 
         if step % cfg.record_every == 0:
             trace.append(_record(t, u, grid, params))
@@ -220,7 +225,19 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         trace.append(_record(t, u, grid, params))
     return BlowupVerdict(reason in ("amplitude", "gradient"),
                          None if reason is None else t, reason, trace,
-                         ComplexField(grid, u), step, reductions)
+                         ComplexField(grid, u), step, reductions, dt)
+
+
+def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:
+    """Largest relative drift of mass and of energy from the first record,
+    over the records before detection; energy relative to max(1, |E(u0)|)."""
+    first = verdict.trace[0]
+    stop = verdict.t_detect if verdict.t_detect is not None else np.inf
+    kept = [rec for rec in verdict.trace if rec.t < stop - 1e-12]
+    mass = max((abs(rec.mass - first.mass) for rec in kept), default=0.0)
+    energy = max((abs(rec.energy - first.energy) for rec in kept), default=0.0)
+    return (mass / max(abs(first.mass), 1e-300),
+            energy / max(1.0, abs(first.energy)))
 
 
 def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
@@ -279,7 +296,7 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
     ref = gs.report
     u0_checks = (first.action - ref.action, first.mass - ref.mass,
                  first.nehari, first.virial_q)
-    if not (u0_checks[0] < 0 and u0_checks[1] <= 1e-6 * ref.mass
+    if not (u0_checks[0] < 0 and u0_checks[1] <= MASS_BAND * ref.mass
             and u0_checks[2] < 0 and u0_checks[3] < 0):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
@@ -291,7 +308,7 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
         if verdict.t_detect is not None and rec.t >= verdict.t_detect - 1e-12:
             break
         ok = (rec.action - ref.action < INVARIANCE_DRIFT * scale
-              and rec.mass - ref.mass <= (1e-6 + INVARIANCE_DRIFT) * ref.mass
+              and rec.mass - ref.mass <= (MASS_BAND + INVARIANCE_DRIFT) * ref.mass
               and rec.nehari < 0
               and rec.virial_q < 0
               and 8.0 * rec.virial_q <= bound + bound_slack)

@@ -11,7 +11,6 @@ states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_bvp, solve_ivp
@@ -85,12 +84,12 @@ class GroundStateResult:
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        """One cubic spline through the stacked (φ, φ') samples, built on
-        the first ``resample`` and kept with the result."""
-        return CubicSpline(self.profile.grid.r, np.stack(
-            [self.profile.values, self.profile.deriv], axis=-1))
+    def __post_init__(self):
+        # one cubic spline through the stacked (φ, φ') samples, built with
+        # the result so that threads resampling it never build a second
+        object.__setattr__(self, "_spline", CubicSpline(
+            self.profile.grid.r,
+            np.stack([self.profile.values, self.profile.deriv], axis=-1)))
 
     def resample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(φ, φ') at arbitrary radii, zero outside [0, rmax]."""

@@ -5,11 +5,16 @@ mass-preserving scaling curve at lambda = 1: d2s <= 0 is the sufficient
 condition for strong instability.  ``in_b_omega`` tests membership in the
 invariant blowup set {S < S(phi), mass <= mass(phi), K < 0, Q < 0}.
 ``omega_sweep`` is the one loop that solves and classifies across omega,
-and ``blowup_run`` the one evolution and audit of lambda-compressed data.
+``blowup_run`` the one evolution and audit of lambda-compressed data, and
+``blowup_sweep`` the one loop over lambda, which runs those evolutions
+concurrently on the cores the process may use.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +32,8 @@ from .functionals import FunctionalReport, _check_resolved, functionals
 from .groundstate import (
     GroundStateResult, _check_identities, solve_ground_state)
 from .evolution import (
-    BlowupVerdict, EvolutionConfig, b_omega_invariance_audit, concavity_audit,
-    evolve, uniform_prefix, virial_check)
+    MASS_BAND, BlowupVerdict, EvolutionConfig, b_omega_invariance_audit,
+    concavity_audit, conservation_drift, evolve, uniform_prefix, virial_check)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
@@ -88,10 +93,7 @@ def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
     rg = gs.report
     checks = (rv.action - rg.action, rv.mass - rg.mass, rv.nehari, rv.virial)
     strict = (checks[0], checks[2], checks[3])
-    # the mass comparison is weak; allow resampling error at the scale the
-    # scaling family preserves it
-    mass_band = 1e-6 * rg.mass
-    in_set = all(c < 0 for c in strict) and checks[1] <= mass_band
+    in_set = all(c < 0 for c in strict) and checks[1] <= MASS_BAND * rg.mass
     return BOmegaVerdict(bool(in_set), checks)
 
 
@@ -128,12 +130,17 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
 
     Status is "ok" or "inconclusive"; the concavity and virial audits are
     None when the uniformly recorded prefix of the trace has fewer than 5
-    records.  The row also counts the steps taken and the dt reductions.
-    Raises the package's ``ERRORS``.
+    records.  The row also counts the steps taken and the dt reductions,
+    and gives the smallest dt, the largest relative mass and energy drift
+    before detection and the fraction of the run's time span that the
+    uniform prefix, which the audits see, covers.  Raises the package's
+    ``ERRORS``.
     """
     verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
     uni = uniform_prefix(verdict.trace)
     audited = len(uni) >= 5
+    mass_drift, energy_drift = conservation_drift(verdict)
+    t_end = verdict.trace[-1].t
     row = {
         "lambda": lam,
         "status": "inconclusive" if verdict.inconclusive else "ok",
@@ -145,8 +152,54 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "virial_mismatch": virial_check(uni) if audited else None,
         "steps": verdict.steps,
         "dt_reductions": verdict.dt_reductions,
+        "dt_min": verdict.dt_min,
+        "mass_drift": mass_drift,
+        "energy_drift": energy_drift,
+        "uniform_fraction": uni[-1].t / t_end if t_end > 0 else 0.0,
     }
     return row, verdict
+
+
+def blowup_sweep(gs: GroundStateResult, lambdas, grid: PeriodicGrid,
+                 cfg: EvolutionConfig) -> list[tuple[dict, BlowupVerdict | None]]:
+    """``blowup_run`` at each lambda, with the runs spread over threads.
+
+    min(len(lambdas), usable cores) threads, the calling thread among them,
+    each take the next lambda in order until none is left; numpy and
+    scipy.fft release the interpreter lock, so the runs overlap.  Results
+    come back in lambda order.  A lambda whose run raises one of the
+    package's ``ERRORS`` gets the row {"lambda", "status": "error: ..."}
+    and the verdict None; any other exception stops the threads from
+    taking further lambdas and is raised once the running ones end.
+    """
+    lambdas = list(lambdas)
+    results = [None] * len(lambdas)
+    pending = iter(range(len(lambdas)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain():
+        while not failed.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = blowup_run(gs, lambdas[i], grid, cfg)
+            except ERRORS as exc:
+                results[i] = ({"lambda": lambdas[i],
+                               "status": f"error: {exc}"}, None)
+            except BaseException:
+                failed.set()
+                raise
+
+    threads = min(len(lambdas), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as helpers:
+        futures = [helpers.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
 
 
 def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:

@@ -24,6 +24,7 @@ from dpnls.params import ComplexField, Params, PeriodicGrid, PreconditionError
 from dpnls.functionals import at_scale, functionals, report_from_norms
 from dpnls.groundstate import first_integral_amplitude, solve_ground_state
 from dpnls.stability import (
+    blowup_sweep,
     classify,
     embed_on_line,
     make_scaled_data,
@@ -31,8 +32,6 @@ from dpnls.stability import (
 )
 from dpnls.evolution import (
     EvolutionConfig,
-    b_omega_invariance_audit,
-    concavity_audit,
     evolve,
     uniform_prefix,
     variance_third_difference,
@@ -178,14 +177,13 @@ def test_criterion_7_blowup(gs1):
     cfg = EvolutionConfig(dt=5e-4, t_max=60.0, record_every=100)
     ok = True
     times = []
-    for lam in (1.05, 1.2, 1.5):
-        u0 = make_scaled_data(gs1, lam, grid)
-        verdict = evolve(u0, gs1.params, cfg)
-        ok &= verdict.blew_up and verdict.reason == "gradient"
-        ok &= b_omega_invariance_audit(verdict, gs1)
-        window = uniform_prefix(verdict.trace)
-        ok &= concavity_audit(window, gs1)
-        times.append(verdict.t_detect)
+    # each row carries the invariance audit and the concavity audit of the
+    # run's uniformly recorded prefix; an error row has neither
+    for row, _ in blowup_sweep(gs1, (1.05, 1.2, 1.5), grid, cfg):
+        ok &= (row.get("blew_up") is True and row["reason"] == "gradient"
+               and row["invariance_audit"] is True
+               and row["concavity_audit"] is True)
+        times.append(row.get("t_detect"))
     # closer to the ground state means a later detection time
     ok &= times[0] > times[1] > times[2]
     _verdict("criterion 7: blowup from compressed data "

@@ -49,6 +49,9 @@ class TestConfig:
         assert cfg.grid is None
         assert cfg.line_grid.m == 65536
         assert cfg.evolution.dt == 5e-4
+        # the library's default, not one of the command line's own
+        assert cfg.evolution.record_every == evolution.EvolutionConfig(
+            dt=1.0, t_max=1.0).record_every == 100
 
     @pytest.mark.parametrize("overrides, key", [
         ({"evolution": {"dtt": 1e-3}}, "dtt"),
@@ -230,6 +233,10 @@ class TestBlowupCommand:
         assert entry["reason"] == "gradient"
         assert entry["invariance_audit"] is True
         assert entry["steps"] > 0 and entry["dt_reductions"] >= 1
+        assert entry["dt_min"] == 1e-3 * 0.5 ** entry["dt_reductions"]
+        assert entry["mass_drift"] <= 1e-10
+        assert 0.0 <= entry["energy_drift"] < 1.0
+        assert 0.0 < entry["uniform_fraction"] <= 1.0
 
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
@@ -241,7 +248,7 @@ class TestBlowupCommand:
             record = TraceRecord(lam, *[0.0] * 8)
             return {"lambda": lam}, SimpleNamespace(trace=[record])
         monkeypatch.setattr(cli, "solve_ground_state", lambda *a: None)
-        monkeypatch.setattr(cli, "blowup_run", stub_run)
+        monkeypatch.setattr(stability, "blowup_run", stub_run)
         lambdas = [1.000001, 1.000002, 1.2, 1.5]
         path = write_config(tmp_path / "c.json", sweeps={"lambdas": lambdas})
         out = tmp_path / "out"

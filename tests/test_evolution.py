@@ -62,7 +62,8 @@ class TestBasics:
     def test_zero_data_stays_zero(self, params1):
         grid = PeriodicGrid(20.0, 256)
         u0 = ComplexField(grid, np.zeros(grid.m, dtype=complex))
-        verdict = evolve(u0, params1, EvolutionConfig(dt=1e-2, t_max=0.1))
+        verdict = evolve(u0, params1, EvolutionConfig(dt=1e-2, t_max=0.1,
+                                                       record_every=20))
         assert not verdict.blew_up
         assert np.all(verdict.final.values == 0)
 
@@ -81,7 +82,8 @@ class TestBasics:
         # t_max is not a multiple of dt: the shorter last step rebuilds the
         # rotation
         dt, t_max = 2e-3, 0.5013
-        verdict = evolve(u0, gs_half.params, EvolutionConfig(dt=dt, t_max=t_max))
+        verdict = evolve(u0, gs_half.params,
+                         EvolutionConfig(dt=dt, t_max=t_max, record_every=20))
         ref, steps = unfused_final(u0, gs_half.params, dt, t_max)
         assert verdict.dt_reductions == 0 and verdict.steps == steps
         sup = np.max(np.abs(u0.values))
@@ -170,7 +172,7 @@ class TestBlowup:
     def test_under_resolved_run_is_inconclusive(self, gs1):
         grid = PeriodicGrid(32.0, 512)
         u0 = make_scaled_data(gs1, 1.2, grid)
-        cfg = EvolutionConfig(dt=1e-3, t_max=10.0)
+        cfg = EvolutionConfig(dt=1e-3, t_max=10.0, record_every=20)
         verdict = evolve(u0, gs1.params, cfg)
         assert verdict.reason in ("resolution", "numerical")
         assert verdict.inconclusive
