@@ -196,8 +196,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         print("classify: empty omega sweep", file=sys.stderr)
         return 2
     rows = omega_sweep(cfg.params, cfg.omegas, cfg.grid)
-    write_csv(out / "classify.csv",
-              ["omega", "d2s", "energy", "criterion_met", "status"], rows)
+    write_csv(out / "classify.csv", list(rows[0]), rows)
     n_bad = sum(r["status"] != "ok" for r in rows)
     write_summary(out / "classify_summary.json",
                   {"rows": len(rows), "failures": n_bad}, timestamp)

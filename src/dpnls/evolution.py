@@ -240,6 +240,12 @@ def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:
             energy / max(1.0, abs(first.energy)))
 
 
+def _off_cadence(dts: np.ndarray) -> np.ndarray:
+    """Which record spacings differ from the first: the one rule of a
+    uniform cadence, read by ``uniform_prefix`` and the audits."""
+    return np.abs(dts - dts[0]) > 1e-9 * dts[0] + 1e-14
+
+
 def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
     """Longest leading sub-trace with uniform cadence (adaptive stepping
     makes the tail of a blowup trace nonuniform)."""
@@ -247,7 +253,7 @@ def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
         return list(trace)
     times = np.array([rec.t for rec in trace])
     dts = np.diff(times)
-    cut = np.nonzero(np.abs(dts - dts[0]) > 1e-9 * dts[0] + 1e-14)[0]
+    cut = np.nonzero(_off_cadence(dts))[0]
     end = int(cut[0]) + 1 if cut.size else len(trace)
     return list(trace[:end])
 
@@ -260,7 +266,7 @@ def _variance_series(trace: list[TraceRecord],
     dts = np.diff(np.array([rec.t for rec in trace]))
     if np.any(dts <= 0):
         raise ValueError("need increasing record times")
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0] + 1e-14:
+    if np.any(_off_cadence(dts)):
         raise ValueError("trace cadence is not uniform")
     return float(dts[0]), np.array([rec.variance for rec in trace])
 

@@ -111,7 +111,7 @@ def sample_exponent_pairs(rng: np.random.Generator, count: int) -> list[Exponent
     return [ExponentPair(float(a), float(b)) for a, b in zip(al, be)]
 
 
-def sign_suite(pairs, points: int = 10000) -> list[dict]:
+def sign_suite(pairs, points: int) -> list[dict]:
     """Worst-case values of h, g1, g2, g3 over a grid of ``points``
     lambdas per pair.
 
@@ -142,10 +142,10 @@ def signs_hold(rows) -> bool:
                for r in rows)
 
 
-def find_lambda0(v, params: Params) -> float:
-    """lambda_0 in (0, 1] with K(v^lambda_0) = 0, by root-finding on the
-    closed-form lambda-dependence (K -> omega * mass > 0 as lambda -> 0)."""
-    report = v if isinstance(v, FunctionalReport) else functionals(v, params)
+def find_lambda0(report: FunctionalReport, params: Params) -> float:
+    """lambda_0 in (0, 1] with K(v^lambda_0) = 0 for the state v of
+    ``report``, by root-finding on the closed-form lambda-dependence
+    (K -> omega * mass > 0 as lambda -> 0)."""
     if report.mass <= 0:
         raise ValueError("zero state has no Nehari crossing")
     if report.nehari > 0:
@@ -174,13 +174,14 @@ def check_hypotheses(report: FunctionalReport, gs: GroundStateResult) -> None:
         raise PreconditionError("Q(v) > 0")
 
 
-def key_estimate_check(v, gs: GroundStateResult) -> KeyEstimateCheck:
-    """Evaluate Q(v)/2 <= S(v) - S(phi) for a state meeting the hypotheses.
+def key_estimate_check(report: FunctionalReport,
+                       gs: GroundStateResult) -> KeyEstimateCheck:
+    """Evaluate Q(v)/2 <= S(v) - S(phi) for the state v of ``report``,
+    which must meet the hypotheses.
 
     Also verifies two intermediate steps of the inequality chain: the aim
     inequality at lambda_0 and S(phi) <= S(v^lambda_0).
     """
-    report = v if isinstance(v, FunctionalReport) else functionals(v, gs.params)
     check_hypotheses(report, gs)
     return _key_estimate(report, gs)
 

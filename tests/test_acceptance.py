@@ -89,7 +89,7 @@ def test_criterion_2_decomposition_identity(sweep):
 def test_criterion_3_sign_suite():
     rng = np.random.default_rng(2024)
     pairs = lemma_lab.sample_exponent_pairs(rng, 120)
-    rows = lemma_lab.sign_suite(pairs)  # 10^4-point lambda grid per pair
+    rows = lemma_lab.sign_suite(pairs, 10000)
     slack = 1e-9
     ok = all(r["h_min"] >= -slack and r["g1_min"] >= -slack
              and r["g2_max"] <= slack and r["g3_min"] >= -slack

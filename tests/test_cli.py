@@ -133,6 +133,14 @@ class TestConfig:
                  for section, value in example.items()}
         assert shown == cli.CONFIG_KEYS
 
+    def test_readme_block_names_every_command(self):
+        # the README's command-line block is the one front end's usage
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```sh")[1]
+        lines = block.split("```")[0].splitlines()
+        named = [line.split()[1] for line in lines if line.startswith("dpnls ")]
+        assert named == list(cli.COMMANDS)
+
 
 class TestGroundstateCommand:
     def test_writes_profile_and_summary(self, tmp_path):
@@ -178,7 +186,8 @@ class TestClassifyCommand:
         assert run("classify", "--config", path, "--out", out,
                    "--no-timestamp") == 0
         lines = (out / "classify.csv").read_text().splitlines()
-        assert lines[0] == "omega,d2s,energy,criterion_met,status"
+        assert lines[0] == ("omega,amplitude,action,energy,d2s,criterion_met,"
+                            "status")
         rows = [dict(zip(lines[0].split(","), l.split(",")))
                 for l in lines[1:]]
         assert [r["criterion_met"] for r in rows] == ["false", "true"]

@@ -76,7 +76,7 @@ class TestScalarFunctions:
 class TestSignSuite:
     def test_signs_over_random_pairs(self):
         rng = np.random.default_rng(7)
-        rows = sign_suite(sample_exponent_pairs(rng, 100))
+        rows = sign_suite(sample_exponent_pairs(rng, 100), 10000)
         for row in rows:
             assert row["h_min"] >= -1e-9
             assert row["g1_min"] >= -1e-9

@@ -168,6 +168,18 @@ class TestScaledData:
             make_scaled_data(gs_half, 1.01, GRID)
 
 
+class TestBlowupRun:
+    def test_under_resolved_run_says_so(self, gs1):
+        # too coarse a grid for lambda = 1.5: the run stops for resolution
+        # and must say so, not report that nothing happened
+        row, verdict = blowup_run(gs1, 1.5, PeriodicGrid(32.0, 8192),
+                                  EvolutionConfig(dt=5e-4, t_max=2.0))
+        assert row["status"] == "inconclusive"
+        assert row["reason"] == "resolution"
+        assert row["blew_up"] is False
+        assert verdict.inconclusive and verdict.trace[-1].t < 2.0
+
+
 def usable_cores(monkeypatch, n):
     """Make the sweep see n usable cores whatever the machine has."""
     monkeypatch.setattr(stability.os, "sched_getaffinity",
