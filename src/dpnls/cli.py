@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import numpy as np
 from .params import Params, PeriodicGrid, RadialGrid
 from .groundstate import default_grid, solve_ground_state
 from .stability import blowup_sweep, omega_sweep
-from .evolution import EvolutionConfig, TraceRecord
+from .evolution import EvolutionConfig
 from . import lemma_lab
 
 
@@ -184,8 +184,8 @@ def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         "decay_rate": gs.decay_rate,
         "bracket_lo": gs.bracket[0],
         "bracket_hi": gs.bracket[1],
-        "diagnostics": gs.diagnostics.as_record(),
-        **gs.report.as_record(),
+        "diagnostics": asdict(gs.diagnostics),
+        **asdict(gs.report),
     }
     write_summary(out / "groundstate.json", record, timestamp)
     return 0
@@ -203,9 +203,6 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     return 0
 
 
-TRACE_HEADER = [f.name for f in fields(TraceRecord)]
-
-
 def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.lambdas:
         print("blowup: empty lambda sweep", file=sys.stderr)
@@ -214,8 +211,8 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     runs = blowup_sweep(gs, cfg.lambdas, cfg.line_grid, cfg.evolution)
     for lam, (_, verdict) in zip(cfg.lambdas, runs):
         if verdict is not None:
-            write_csv(out / f"trace_lambda_{lam!r}.csv", TRACE_HEADER,
-                      [rec.as_record() for rec in verdict.trace])
+            rows = [asdict(rec) for rec in verdict.trace]
+            write_csv(out / f"trace_lambda_{lam!r}.csv", list(rows[0]), rows)
     write_summary(out / "blowup_summary.json",
                   {"runs": [row for row, _ in runs]}, timestamp)
     return 0

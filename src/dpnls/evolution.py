@@ -19,6 +19,11 @@ norm and the spectral-tail monitor.  Every monitor reads the full step's
 state u_{n+1}; the amplitude sup|u_{n+1}| = sqrt(max |w|^2) comes from the
 same |w|^2 as theta.
 
+A run starts on the coarsest grid m/2^k that resolves u0 and doubles m,
+zero-padding the spectrum, whenever the tail passes ``REFINE_TAIL``, up to
+u0's own grid.  Even data peak on the node x = 0 of every grid, so sup|u|,
+which the amplitude proxy and the dt control read, is the same on each.
+
 Finite-time blowup cannot be followed to T_max; it is detected by proxy
 thresholds (``BLOWUP_GRAD_FACTOR`` on the gradient norm,
 ``BLOWUP_AMP_FACTOR`` on the amplitude) with a resolution
@@ -29,13 +34,14 @@ t_max stops as inconclusive too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .params import ComplexField, MembershipError, Params, PeriodicGrid
-from .functionals import raw_norms, report_from_norms
+from .params import (
+    ComplexField, MembershipError, Params, PeriodicGrid, ResolutionError)
+from .functionals import _check_resolved, raw_norms, report_from_norms
 from .groundstate import GroundStateResult
 
 #: Floor of the adaptive step size.
@@ -44,6 +50,9 @@ DT_MIN = 1e-9
 MAX_STEPS = 10 ** 6
 #: Spectral-tail fraction above which a state counts as under-resolved.
 MAX_TAIL_FRACTION = 1e-8
+#: Spectral-tail fraction above which a run doubles its grid; below
+#: ``MAX_TAIL_FRACTION``, so a run refines before it stops for resolution.
+REFINE_TAIL = 1e-10
 #: Growth of ||grad u|| over its initial value that counts as blowup.
 BLOWUP_GRAD_FACTOR = 50.0
 #: Growth of sup|u| over its initial value that counts as blowup.
@@ -86,9 +95,6 @@ class TraceRecord:
     variance: float
     sup_amp: float
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BlowupVerdict:
@@ -101,6 +107,7 @@ class BlowupVerdict:
     steps: int
     dt_reductions: int
     dt_min: float   # smallest step size the control reached
+    grids: list[tuple[int, int]]   # (m, first step) of each grid used
 
     @property
     def inconclusive(self) -> bool:
@@ -110,8 +117,7 @@ class BlowupVerdict:
 def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
             params: Params) -> TraceRecord:
     fld = ComplexField(grid, u)
-    x = grid.x
-    var = float(np.sum(x ** 2 * np.abs(u) ** 2) * grid.spacing)
+    var = float(np.sum(grid.x ** 2 * np.abs(u) ** 2) * grid.spacing)
     rep = report_from_norms(*raw_norms(fld, params), params)
     return TraceRecord(t, rep.mass, rep.energy, rep.action, rep.nehari,
                        rep.virial, rep.grad, var, float(np.max(np.abs(u))))
@@ -127,8 +133,6 @@ class _SpectralStepper:
         self.k2 = grid.wavenumbers ** 2
         self.band = np.abs(np.fft.fftfreq(grid.m)) >= 7.0 / 16.0
         self._dt = None
-        self._prop = None
-        self._h = None
         self.rot = np.empty(grid.m, dtype=complex)
         self._phase(u)
 
@@ -176,15 +180,45 @@ class _SpectralStepper:
         return grad_sq, tail
 
 
-def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerdict:
-    """Advance the NLS from u0, recording a trace and watching for blowup."""
+def _prolong(u: np.ndarray, n: int) -> np.ndarray:
+    """u on n > u.size nodes: the spectrum zero-padded, its Nyquist mode
+    split evenly between +k and -k."""
+    h = u.size // 2
+    uh = scipy.fft.fft(u)
+    wide = np.zeros(n, dtype=complex)
+    wide[:h], wide[-h:] = uh[:h], uh[h:]
+    wide[h] = wide[-h] = 0.5 * uh[h]
+    return n / u.size * scipy.fft.ifft(wide, overwrite_x=True)
+
+
+def _start(u0: ComplexField, params: Params) -> PeriodicGrid:
+    """The coarsest grid m/2^k, m/2^k even, whose samples u0.values[::2^k]
+    pass ``_check_resolved`` and keep the spectral tail <= REFINE_TAIL."""
     grid = u0.grid
-    u = np.array(u0.values, dtype=complex)
+    while grid.m % 4 == 0:
+        v = u0.values[::2 * u0.grid.m // grid.m]
+        try:
+            _check_resolved(v)
+        except ResolutionError:
+            break
+        coarse = PeriodicGrid(grid.length, v.size)
+        if _SpectralStepper(coarse, params, v).monitors(v)[1] > REFINE_TAIL:
+            break
+        grid = coarse
+    return grid
+
+
+def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerdict:
+    """Advance the NLS from u0, recording a trace and watching for blowup;
+    the run refines its grid up to u0's, where ``final`` lies."""
+    grid = _start(u0, params)
+    u = np.array(u0.values[::u0.grid.m // grid.m], dtype=complex)
     stepper = _SpectralStepper(grid, params, u)
+    grids = [(grid.m, 0)]
     t = 0.0
     dt = cfg.dt
     step = reductions = 0
-    trace = [_record(t, u, grid, params)]
+    trace = [_record(t, u, stepper.grid, params)]
     grad0 = max(np.sqrt(trace[0].grad_norm_sq), 1e-300)
     amp = trace[0].sup_amp
     amp0 = max(amp, 1e-300)
@@ -206,10 +240,17 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             trace.append(TraceRecord(t, np.nan, np.nan, np.nan, np.nan,
                                      np.nan, np.nan, np.nan, np.inf))
             return BlowupVerdict(False, t, "numerical", trace, None,
-                                 step, reductions, dt)
+                                 step, reductions, dt, grids)
+
+        if tail > REFINE_TAIL and u.size < u0.grid.m:
+            u = _prolong(u, 2 * u.size)
+            stepper = _SpectralStepper(
+                PeriodicGrid(u0.grid.length, u.size), params, u)
+            grids.append((u.size, step))
+            grad_sq, tail = stepper.monitors(u)
 
         if step % cfg.record_every == 0:
-            trace.append(_record(t, u, grid, params))
+            trace.append(_record(t, u, stepper.grid, params))
 
         if amp > BLOWUP_AMP_FACTOR * amp0:
             reason = "amplitude"
@@ -222,10 +263,12 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             reductions += 1
 
     if trace[-1].t < t - 1e-12:
-        trace.append(_record(t, u, grid, params))
+        trace.append(_record(t, u, stepper.grid, params))
+    if u.size < u0.grid.m:
+        u = _prolong(u, u0.grid.m)
     return BlowupVerdict(reason in ("amplitude", "gradient"),
                          None if reason is None else t, reason, trace,
-                         ComplexField(grid, u), step, reductions, dt)
+                         ComplexField(u0.grid, u), step, reductions, dt, grids)
 
 
 def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:

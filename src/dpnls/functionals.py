@@ -9,7 +9,7 @@ which is what ``at_scale`` evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
@@ -55,9 +55,6 @@ class FunctionalReport:
     virial: float
     bigf: float
     d2s: float       # second lambda-derivative of the action along v^lambda
-
-    def as_record(self) -> dict:
-        return asdict(self)
 
 
 def _grad_sq_samples(state: State) -> np.ndarray:

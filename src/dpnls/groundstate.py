@@ -10,7 +10,7 @@ states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_bvp, solve_ivp
@@ -67,9 +67,6 @@ class SolveDiagnostics:
     mesh_nodes: int         # collocation nodes of the accepted polish
     extensions: int         # times the domain was lengthened
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GroundStateResult:
@@ -85,8 +82,7 @@ class GroundStateResult:
     diagnostics: SolveDiagnostics
 
     def __post_init__(self):
-        # one cubic spline through the stacked (φ, φ') samples, built with
-        # the result so that threads resampling it never build a second
+        # one cubic spline through the (φ, φ') samples, shared by every resample
         object.__setattr__(self, "_spline", CubicSpline(
             self.profile.grid.r,
             np.stack([self.profile.values, self.profile.deriv], axis=-1)))

@@ -183,12 +183,6 @@ def key_estimate_check(report: FunctionalReport,
     inequality at lambda_0 and S(phi) <= S(v^lambda_0).
     """
     check_hypotheses(report, gs)
-    return _key_estimate(report, gs)
-
-
-def _key_estimate(report: FunctionalReport,
-                  gs: GroundStateResult) -> KeyEstimateCheck:
-    """``key_estimate_check`` of a report whose hypotheses already hold."""
     params = gs.params
     lam0 = find_lambda0(report, params)
     lhs = report.virial / 2.0
@@ -274,7 +268,7 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
             check_hypotheses(report, gs)
         except PreconditionError:
             continue
-        checks.append(_key_estimate(report, gs))
+        checks.append(key_estimate_check(report, gs))
         if len(checks) == samples:
             break
     ok = len(checks) == samples and all(

@@ -6,15 +6,12 @@ condition for strong instability.  ``in_b_omega`` tests membership in the
 invariant blowup set {S < S(phi), mass <= mass(phi), K < 0, Q < 0}.
 ``omega_sweep`` is the one loop that solves and classifies across omega,
 ``blowup_run`` the one evolution and audit of lambda-compressed data, and
-``blowup_sweep`` the one loop over lambda, which runs those evolutions
-concurrently on the cores the process may use.
+``blowup_sweep`` the one loop over lambda, which runs them in lambda
+order.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,15 +123,15 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
 
 def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
                cfg: EvolutionConfig) -> tuple[dict, BlowupVerdict]:
-    """Evolve phi^lambda on ``grid``, audit the run and sum it up in a row.
+    """Evolve phi^lambda from ``grid``, audit the run and sum it up in a row.
 
     Status is "ok" or "inconclusive"; the concavity and virial audits are
     None when the uniformly recorded prefix of the trace has fewer than 5
     records.  The row also counts the steps taken and the dt reductions,
     and gives the smallest dt, the largest relative mass and energy drift
-    before detection and the fraction of the run's time span that the
-    uniform prefix, which the audits see, covers.  Raises the package's
-    ``ERRORS``.
+    before detection, the fraction of the run's time span that the
+    uniform prefix, which the audits see, covers, and the (m, first step)
+    of each grid the run used.  Raises the package's ``ERRORS``.
     """
     verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
     uni = uniform_prefix(verdict.trace)
@@ -156,49 +153,25 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "mass_drift": mass_drift,
         "energy_drift": energy_drift,
         "uniform_fraction": uni[-1].t / t_end if t_end > 0 else 0.0,
+        "grids": verdict.grids,
     }
     return row, verdict
 
 
 def blowup_sweep(gs: GroundStateResult, lambdas, grid: PeriodicGrid,
                  cfg: EvolutionConfig) -> list[tuple[dict, BlowupVerdict | None]]:
-    """``blowup_run`` at each lambda, with the runs spread over threads.
+    """``blowup_run`` at each lambda, in order.
 
-    min(len(lambdas), usable cores) threads, the calling thread among them,
-    each take the next lambda in order until none is left; numpy and
-    scipy.fft release the interpreter lock, so the runs overlap.  Results
-    come back in lambda order.  A lambda whose run raises one of the
-    package's ``ERRORS`` gets the row {"lambda", "status": "error: ..."}
-    and the verdict None; any other exception stops the threads from
-    taking further lambdas and is raised once the running ones end.
+    A lambda whose run raises one of the package's ``ERRORS`` gets the row
+    {"lambda", "status": "error: ..."} and the verdict None, and the sweep
+    goes on; any other exception ends the sweep.
     """
-    lambdas = list(lambdas)
-    results = [None] * len(lambdas)
-    pending = iter(range(len(lambdas)))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def drain():
-        while not failed.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = blowup_run(gs, lambdas[i], grid, cfg)
-            except ERRORS as exc:
-                results[i] = ({"lambda": lambdas[i],
-                               "status": f"error: {exc}"}, None)
-            except BaseException:
-                failed.set()
-                raise
-
-    threads = min(len(lambdas), len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as helpers:
-        futures = [helpers.submit(drain) for _ in range(threads - 1)]
-        drain()
-        for future in futures:
-            future.result()
+    results = []
+    for lam in lambdas:
+        try:
+            results.append(blowup_run(gs, lam, grid, cfg))
+        except ERRORS as exc:
+            results.append(({"lambda": lam, "status": f"error: {exc}"}, None))
     return results
 
 

@@ -8,6 +8,7 @@ not the integrator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpnls.params import ComplexField, Params, PeriodicGrid
 from dpnls.functionals import functionals
@@ -84,10 +85,14 @@ class TestBasics:
         dt, t_max = 2e-3, 0.5013
         verdict = evolve(u0, gs_half.params,
                          EvolutionConfig(dt=dt, t_max=t_max, record_every=20))
-        ref, steps = unfused_final(u0, gs_half.params, dt, t_max)
+        # the run never leaves its start grid; the reference steps there too
+        ((m0, _),) = verdict.grids
+        stride = grid.m // m0
+        start = ComplexField(PeriodicGrid(grid.length, m0), u0.values[::stride])
+        ref, steps = unfused_final(start, gs_half.params, dt, t_max)
         assert verdict.dt_reductions == 0 and verdict.steps == steps
         sup = np.max(np.abs(u0.values))
-        assert np.max(np.abs(verdict.final.values - ref)) <= 1e-12 * sup
+        assert np.max(np.abs(verdict.final.values[::stride] - ref)) <= 1e-12 * sup
 
     def test_step_budget_is_inconclusive(self, params1, monkeypatch):
         monkeypatch.setattr(evolution, "MAX_STEPS", 7)
@@ -101,6 +106,36 @@ class TestBasics:
         assert verdict.t_detect == pytest.approx(7e-3)
         assert [rec.t for rec in verdict.trace] == pytest.approx(
             [0.0, 5e-3, 7e-3])
+
+
+class TestProlongation:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([8, 64, 512]),
+           factor=st.sampled_from([2, 4]))
+    def test_restriction_undoes_prolongation(self, params1, seed, m, factor):
+        # a random state on m nodes whose spectrum sits below half the
+        # Nyquist wavenumber: zero-padding it keeps its samples, its mass
+        # and its gradient norm
+        rng = np.random.default_rng(seed)
+        spec = rng.normal(size=m) + 1j * rng.normal(size=m)
+        spec[np.abs(np.fft.fftfreq(m)) >= 0.25] = 0.0
+        coarse = ComplexField(PeriodicGrid(20.0, m), np.fft.ifft(spec))
+        fine_values = evolution._prolong(coarse.values, factor * m)
+        fine = ComplexField(PeriodicGrid(20.0, factor * m), fine_values)
+        sup = np.max(np.abs(coarse.values))
+        assert np.max(np.abs(fine.values[::factor] - coarse.values)) <= 1e-14 * sup
+        want, got = functionals(coarse, params1), functionals(fine, params1)
+        assert got.mass == pytest.approx(want.mass, rel=1e-12)
+        assert got.grad == pytest.approx(want.grad, rel=1e-12)
+
+    def test_nyquist_mode_split_evenly(self):
+        # a real state with a full spectrum: splitting its Nyquist mode
+        # evenly between +k and -k keeps the prolonged state real, and
+        # restriction still gives the state back
+        u = np.random.default_rng(3).normal(size=16)
+        fine = evolution._prolong(u, 32)
+        assert np.max(np.abs(fine.imag)) <= 1e-14 * np.max(np.abs(u))
+        assert np.max(np.abs(fine[::2] - u)) <= 1e-14 * np.max(np.abs(u))
 
 
 class TestStandingWave:
@@ -168,6 +203,20 @@ class TestBlowup:
     def test_concavity_audit(self, blowup_run, gs1):
         _, verdict = blowup_run
         assert concavity_audit(uniform_prefix(verdict.trace), gs1)
+
+    def test_grid_ladder(self, blowup_run):
+        u0, verdict = blowup_run
+        sizes = [m for m, _ in verdict.grids]
+        steps = [step for _, step in verdict.grids]
+        assert steps[0] == 0 and steps == sorted(steps)
+        assert steps[-1] <= verdict.steps
+        assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] <= u0.grid.m and sizes[0] < u0.grid.m
+
+    def test_final_on_initial_grid(self, blowup_run):
+        u0, verdict = blowup_run
+        assert verdict.final.grid == u0.grid
+        assert verdict.final.values.shape == u0.values.shape
 
     def test_under_resolved_run_is_inconclusive(self, gs1):
         grid = PeriodicGrid(32.0, 512)
