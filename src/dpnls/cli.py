@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import Params, PeriodicGrid, RadialGrid
-from .groundstate import default_grid, solve_ground_state
+from .params import Params, PeriodicGrid
+from .groundstate import solve_ground_state
 from .stability import blowup_sweep, omega_sweep
 from .evolution import EvolutionConfig
 from . import lemma_lab
@@ -30,12 +30,10 @@ from . import lemma_lab
 #: The keys each config section may hold; ``None`` marks a plain value.
 CONFIG_KEYS = {
     "params": ("N", "a", "b", "p", "q", "omega"),
-    "grid": ("rmax", "n"),
     "evolution": ("length", "m", "dt", "t_max", "record_every"),
     "sweeps": ("omegas", "lambdas"),
     "lemma": ("pairs", "lambda_points", "samples"),
     "seed": None,
-    "out": None,
 }
 
 
@@ -96,7 +94,6 @@ class ExperimentConfig:
     """A run's whole configuration, validated when ``from_file`` reads it."""
 
     params: Params
-    grid: RadialGrid | None   # None: the solver's default grid
     line_grid: PeriodicGrid
     evolution: EvolutionConfig
     omegas: list[float]
@@ -105,7 +102,6 @@ class ExperimentConfig:
     lemma_lambda_points: int
     lemma_samples: int
     seed: int
-    out: Path
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -115,11 +111,6 @@ class ExperimentConfig:
         params = Params(_value(raw, "params.N", _whole),
                         *(_value(raw, f"params.{key}", _real)
                           for key in ("a", "b", "p", "q", "omega")))
-        grid = None
-        if raw.get("grid"):
-            base = default_grid(params)
-            grid = RadialGrid(_value(raw, "grid.rmax", _real, base.rmax),
-                              _value(raw, "grid.n", _whole, base.n))
         line_grid = PeriodicGrid(_value(raw, "evolution.length", _real, 32.0),
                                  _value(raw, "evolution.m", _whole, 65536))
         evolution = EvolutionConfig(
@@ -134,7 +125,6 @@ class ExperimentConfig:
             raise ValueError("lemma needs pairs, samples >= 1, lambda_points >= 2")
         return cls(
             params=params,
-            grid=grid,
             line_grid=line_grid,
             evolution=evolution,
             omegas=_value(raw, "sweeps.omegas", _floats, []),
@@ -143,7 +133,6 @@ class ExperimentConfig:
             lemma_lambda_points=lambda_points,
             lemma_samples=samples,
             seed=_value(raw, "seed", _whole, 0),
-            out=_value(raw, "out", Path, Path("results")),
         )
 
 
@@ -173,7 +162,7 @@ def write_summary(path: Path, record: dict, timestamp: bool):
 
 
 def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
-    gs = solve_ground_state(cfg.params, cfg.grid)
+    gs = solve_ground_state(cfg.params)
     rows = [{"r": float(r), "phi": float(v)}
             for r, v in zip(gs.profile.grid.r, gs.profile.values)]
     write_csv(out / "profile.csv", ["r", "phi"], rows)
@@ -195,7 +184,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.omegas:
         print("classify: empty omega sweep", file=sys.stderr)
         return 2
-    rows = omega_sweep(cfg.params, cfg.omegas, cfg.grid)
+    rows = omega_sweep(cfg.params, cfg.omegas)
     write_csv(out / "classify.csv", list(rows[0]), rows)
     n_bad = sum(r["status"] != "ok" for r in rows)
     write_summary(out / "classify_summary.json",
@@ -207,7 +196,7 @@ def cmd_blowup(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     if not cfg.lambdas:
         print("blowup: empty lambda sweep", file=sys.stderr)
         return 2
-    gs = solve_ground_state(cfg.params, cfg.grid)
+    gs = solve_ground_state(cfg.params)
     runs = blowup_sweep(gs, cfg.lambdas, cfg.line_grid, cfg.evolution)
     for lam, (_, verdict) in zip(cfg.lambdas, runs):
         if verdict is not None:
@@ -227,7 +216,7 @@ def cmd_verify_lemma(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
                "g1_max_increase", "g3_max_increase"], rows)
     sign_ok = lemma_lab.signs_hold(rows)
 
-    gs = solve_ground_state(cfg.params, cfg.grid)
+    gs = solve_ground_state(cfg.params)
     checks, ke_ok = lemma_lab.key_estimate_audit(gs, rng, cfg.lemma_samples)
     write_csv(out / "key_estimate.csv", ["lambda0", "lhs", "rhs", "margin"],
               [asdict(c) for c in checks])
@@ -256,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
-        cmd.add_argument("--out", default=None)
+        cmd.add_argument("--out", type=Path, default=Path("results"))
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--no-timestamp", action="store_true")
     return parser
@@ -271,10 +260,10 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg.seed = args.seed
-    out = Path(args.out) if args.out is not None else cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, timestamp=not args.no_timestamp)
+        return COMMANDS[args.command](cfg, args.out,
+                                      timestamp=not args.no_timestamp)
     except Exception as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

@@ -338,7 +338,9 @@ def variance_third_difference(trace: list[TraceRecord]) -> float:
 def b_omega_invariance_audit(verdict: BlowupVerdict,
                              gs: GroundStateResult) -> bool:
     """All recorded states stay in the blowup set and obey the virial bound
-    8 Q(u(t)) <= 16 (S(u0) - S(phi)) up to detection."""
+    8 Q(u(t)) <= 16 (S(u0) - S(phi)) up to detection.  S(u(t)) is bounded
+    from above only, so a breakdown of conservation shows in the run's
+    energy drift (``conservation_drift``), not in this audit."""
     if not verdict.trace:
         return False
     first = verdict.trace[0]

@@ -36,9 +36,13 @@ def sphere_area(N: int) -> float:
 
 def radial_rule(grid: RadialGrid, N: int):
     """The quadrature samples -> sigma_N * trapezoid of samples * r^{N-1}
-    over [0, rmax]; sigma_N and r^{N-1} are computed once per rule."""
+    over [0, rmax]; sigma_N and r^{N-1} are computed once per rule.  At
+    N = 2 the integrand r g(r) has slope g(0) at 0, so the rule adds the
+    Euler-Maclaurin end term h^2/12 g(0); at N = 1 and N >= 3 the slope is 0."""
     sigma, weight, dx = sphere_area(N), grid.r ** (N - 1), grid.spacing
-    return lambda samples: sigma * float(np.trapezoid(samples * weight, dx=dx))
+    end = dx ** 2 / 12.0 if N == 2 else 0.0
+    return lambda samples: sigma * (float(np.trapezoid(samples * weight, dx=dx))
+                                    + end * float(samples[0]))
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,6 @@ BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
 #: Relative tolerance of every shot: a shot must tell apart amplitudes half
 #: the stop width from the separatrix.
 SHOT_RTOL = BISECTION_WIDTH / 2.0
-#: Amplitudes the bracket scan tries, evenly spaced up to the ceiling.
-SCAN_POINTS = 64
 #: Tolerances of the collocation polish, strictest first; a rung that does
 #: not converge falls back to the next.
 POLISH_LADDER = (1e-10, 1e-9, 3e-9)
@@ -60,7 +58,7 @@ NODES_PER_WIDTH = 160
 class SolveDiagnostics:
     """What one solve did; no wall-clock time, so reruns stay identical."""
 
-    bracket_shots: int      # scan amplitudes classified before the bracket
+    bracket_shots: int      # doublings of the amplitude floor to the bracket
     bisection_shots: int
     rung: float             # polish tolerance that converged
     failed_rungs: tuple[tuple[float, int], ...]  # (tolerance, nodes) each
@@ -104,8 +102,10 @@ def _force(phi, params: Params):
             - params.omega * phi)
 
 
-def amplitude_ceiling(params: Params) -> float:
-    """4x the positive zero of ω s - a s^p - b s^q (shooting upper bound)."""
+def amplitude_floor(params: Params) -> float:
+    """s0, the positive zero of ω - a s^{p-1} - b s^{q-1}.  Below s0 a shot
+    starts with φ''(0) = -force(φ(0))/N > 0 and undershoots, and s0 is the
+    constant solution, so the ground state's amplitude lies above s0."""
     f = lambda s: params.omega - params.a * s ** (params.p - 1) \
         - params.b * s ** (params.q - 1)
     hi = 1.0
@@ -113,8 +113,7 @@ def amplitude_ceiling(params: Params) -> float:
         hi *= 2.0
         if hi > 1e8:
             raise NoBracketError("no positive zero of the potential force")
-    root = brentq(f, 1e-12, hi, xtol=1e-12)
-    return 4.0 * root
+    return brentq(f, 1e-12, hi, xtol=1e-12)
 
 
 def _shoot(params: Params, amplitude: float, rmax: float,
@@ -156,31 +155,26 @@ def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     return 0
 
 
-def _scan_amplitudes(params: Params) -> np.ndarray:
-    ceiling = amplitude_ceiling(params)
-    return np.linspace(ceiling / SCAN_POINTS, ceiling, SCAN_POINTS)
-
-
 def find_bracket(params: Params, rmax: float) -> tuple[float, float]:
-    """Amplitude bracket (lo undershoots, hi overshoots): the scan shoots
-    upwards and stops at the first overshoot that follows an undershoot."""
-    amps = _scan_amplitudes(params)
-    lo = None
-    for s in amps:
-        c = shoot_classify(params, float(s), rmax)
-        if c < 0:
-            lo = float(s)
-        elif c > 0 and lo is not None:
-            return lo, float(s)
-    raise NoBracketError(
-        f"no undershoot/overshoot sign change in (0, {amps[-1]:.3g}]")
+    """Amplitude bracket (lo undershoots, hi overshoots): from the floor s0,
+    which undershoots, the amplitude doubles up to the first overshoot."""
+    floor = lo = hi = amplitude_floor(params)
+    while True:
+        hi *= 2.0
+        if hi > 1e8:
+            raise NoBracketError(
+                f"no overshoot in amplitudes from {floor:.3g} doubled up to 1e8")
+        if shoot_classify(params, hi, rmax) > 0:
+            return lo, hi
+        lo = hi
 
 
 def _shoot_amplitude(params: Params, rmax: float):
-    """(amplitude, scan bracket, bracket shots, bisection shots)."""
+    """(amplitude, bracket, bracket shots, bisection shots)."""
     lo, hi = find_bracket(params, rmax)
     bracket = (lo, hi)
-    scan_shots = int(np.searchsorted(_scan_amplitudes(params), hi)) + 1
+    # hi is the floor times an exact power of two
+    doublings = round(float(np.log2(hi / amplitude_floor(params))))
     # halvings that take the width below BISECTION_WIDTH * lo <= that * hi
     halvings = max(0, int(np.ceil(np.log2((hi - lo) / (BISECTION_WIDTH * lo)))))
     for _ in range(halvings):
@@ -189,7 +183,7 @@ def _shoot_amplitude(params: Params, rmax: float):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), bracket, scan_shots, halvings
+    return 0.5 * (lo + hi), bracket, doublings, halvings
 
 
 def _in_r(sol_xi, sw: float):
@@ -288,7 +282,7 @@ def solve_ground_state(params: Params,
     if grid is None:
         grid = default_grid(params)
     rmax = grid.rmax
-    amp, bracket, scan_shots, bisection_shots = _shoot_amplitude(params, rmax)
+    amp, bracket, bracket_shots, bisection_shots = _shoot_amplitude(params, rmax)
 
     failed = []
     for extension in range(3):
@@ -330,7 +324,7 @@ def solve_ground_state(params: Params,
     if rate <= 0:
         raise CertificationError("fitted decay rate is not positive")
 
-    diagnostics = SolveDiagnostics(scan_shots, bisection_shots, rung,
+    diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, rung,
                                    tuple(failed), nodes, extension)
     return GroundStateResult(profile, params, report, residual, rate,
                              float(phi[0]), bracket, diagnostics)

@@ -23,7 +23,6 @@ from .params import (
     Params,
     PeriodicGrid,
     PreconditionError,
-    RadialGrid,
 )
 from .functionals import FunctionalReport, _check_resolved, functionals
 from .groundstate import (
@@ -59,8 +58,10 @@ class BOmegaVerdict:
 
 def remark13_decomposition(report: FunctionalReport,
                            params: Params) -> tuple[float, float, float]:
-    """Three summands whose total equals d2s for a state with Q ~ 0:
-    (alpha+1) Q, -2 alpha E, and the negative q-power term."""
+    """Three summands that add up to d2s for every report: (alpha+1) Q,
+    -2 alpha E, and the q-power term, which is negative since
+    alpha < 2 < beta.  Q(phi) = 0 at a ground state, so there E > 0
+    forces d2s < 0."""
     al, be = params.alpha, params.beta
     t1 = (al + 1.0) * report.virial
     t2 = -2.0 * al * report.energy
@@ -180,8 +181,7 @@ def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:
     return _embed(gs, 1.0, grid)
 
 
-def omega_sweep(params: Params, omegas,
-                grid: RadialGrid | None = None) -> list[dict]:
+def omega_sweep(params: Params, omegas) -> list[dict]:
     """Solve and classify the ground state of ``params`` at each omega.
 
     One row per omega with omega, amplitude, action, energy, d2s,
@@ -195,7 +195,7 @@ def omega_sweep(params: Params, omegas,
         row = {"omega": w, "amplitude": nan, "action": nan, "energy": nan,
                "d2s": nan, "criterion_met": False, "status": "ok"}
         try:
-            gs = solve_ground_state(params.with_omega(w), grid)
+            gs = solve_ground_state(params.with_omega(w))
             rep = classify(gs)
         except ERRORS as exc:
             row["status"] = f"error: {exc}"

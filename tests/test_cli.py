@@ -34,19 +34,16 @@ class TestConfig:
     def test_roundtrip(self, tmp_path):
         path = write_config(
             tmp_path / "c.json",
-            grid={"rmax": 30.0, "n": 2001},
             sweeps={"omegas": [0.5, 1.0], "lambdas": [1.2]},
             seed=3,
         )
         cfg = ExperimentConfig.from_file(path)
         assert cfg.params.omega == 1.0
-        assert cfg.grid.rmax == 30.0 and cfg.grid.n == 2001
         assert cfg.omegas == [0.5, 1.0] and cfg.lambdas == [1.2]
         assert cfg.seed == 3
 
     def test_defaults(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path / "c.json"))
-        assert cfg.grid is None
         assert cfg.line_grid.m == 65536
         assert cfg.evolution.dt == 5e-4
         # the library's default, not one of the command line's own
@@ -57,29 +54,29 @@ class TestConfig:
         ({"evolution": {"dtt": 1e-3}}, "dtt"),
         ({"sweep": {"omegas": [1.0]}}, "sweep"),
         ({"lemma": {"sample": 5}}, "sample"),
-        ({"grid": 5}, "grid"),
+        ({"grid": {"rmax": 30.0, "n": 2001}}, "grid"),
         ({"evolution": {"dt": 0}}, "dt"),
-        ({"grid": {"rmax": 0}}, "rmax"),
-        ({"grid": {"n": 1}}, "nodes"),
+        ({"evolution": {"length": 0}}, "length"),
+        ({"evolution": {"m": 1}}, "nodes"),
         ({"evolution": {"record_every": 0}}, "record_every"),
         ({"solver": {"tol": 1e-3}}, "solver"),
         ({"lemma": {"lambda_points": 1}}, "lambda_points"),
-        ({"out": 5}, "int"),
+        ({"out": "results"}, "out"),
         ({"evolution": {"dt": None}}, "evolution.dt"),
         ({"params": {**BASE, "N": "one", "omega": 1.0}}, "params.N"),
         ({"sweeps": {"omegas": [1.0, None]}}, "sweeps.omegas"),
         ({"params": dict(BASE)}, "params.omega"),
         ([1, 2], "JSON object"),
         ({"params": {**BASE, "N": 1.5, "omega": 1.0}}, "params.N"),
-        ({"grid": {"n": 2.9}}, "grid.n"),
+        ({"evolution": {"m": 2.9}}, "evolution.m"),
         ({"evolution": {"m": "64"}}, "evolution.m"),
         ({"evolution": {"record_every": True}}, "evolution.record_every"),
         ({"lemma": {"samples": 10.5}}, "lemma.samples"),
         ({"seed": 0.5}, "seed"),
         ({"params": {**BASE, "a": True, "omega": 1.0}}, "params.a"),
         ({"params": {**BASE, "b": "1", "omega": 1.0}}, "params.b"),
-        ({"grid": {"rmax": "30"}}, "grid.rmax"),
-        ({"grid": {"rmax": False}}, "grid.rmax"),
+        ({"evolution": {"length": "32"}}, "evolution.length"),
+        ({"evolution": {"length": False}}, "evolution.length"),
         ({"evolution": {"dt": True}}, "evolution.dt"),
         ({"evolution": {"t_max": "60"}}, "evolution.t_max"),
         ({"sweeps": {"lambdas": [True]}}, "sweeps.lambdas"),
@@ -105,14 +102,13 @@ class TestConfig:
         path = write_config(
             tmp_path / "c.json",
             params={**BASE, "N": 1.0, "omega": 1.0},
-            grid={"n": 2001.0},
             evolution={"m": 4096.0, "record_every": 10.0},
             seed=3.0,
         )
         cfg = ExperimentConfig.from_file(path)
-        assert (cfg.params.N, cfg.grid.n, cfg.line_grid.m,
-                cfg.evolution.record_every, cfg.seed) == (1, 2001, 4096, 10, 3)
-        assert isinstance(cfg.grid.n, int) and isinstance(cfg.seed, int)
+        assert (cfg.params.N, cfg.line_grid.m,
+                cfg.evolution.record_every, cfg.seed) == (1, 4096, 10, 3)
+        assert isinstance(cfg.line_grid.m, int) and isinstance(cfg.seed, int)
 
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(
@@ -194,6 +190,19 @@ class TestClassifyCommand:
         assert all(r["status"] == "ok" for r in rows)
         summary = json.loads((out / "classify_summary.json").read_text())
         assert summary == {"rows": 2, "failures": 0}
+
+    def test_three_dimensional_sweep(self, tmp_path):
+        path = write_config(tmp_path / "c.json",
+                            params={"N": 3, "a": 1.0, "b": 1.0, "p": 1.5,
+                                    "q": 3.0, "omega": 1.0},
+                            sweeps={"omegas": [1.0]})
+        out = tmp_path / "out"
+        assert run("classify", "--config", path, "--out", out,
+                   "--no-timestamp") == 0
+        with open(out / "classify.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+        assert float(row["amplitude"]) == pytest.approx(2.3497, abs=1e-4)
 
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")

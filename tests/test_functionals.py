@@ -41,6 +41,13 @@ class TestQuadrature:
         assert radial_rule(grid, 1)(np.exp(-grid.r ** 2)) == pytest.approx(
             SQRT_PI, abs=1e-8)
 
+    def test_planar_gaussian_end_term(self):
+        # at N = 2 the integrand r e^{-r^2} has slope 1 at the origin; the
+        # plain trapezoid rule errs by -1.3e-5 here
+        grid = RadialGrid(15.0, 3001)
+        assert radial_rule(grid, 2)(np.exp(-grid.r ** 2)) == pytest.approx(
+            np.pi, abs=1e-9)
+
     def test_zero_profile(self):
         grid = RadialGrid(5.0, 101)
         assert radial_rule(grid, 1)(np.zeros(101)) == 0.0

@@ -30,8 +30,7 @@ from dpnls.params import (
 from dpnls.functionals import functionals
 from dpnls.groundstate import (
     BISECTION_WIDTH,
-    SCAN_POINTS,
-    amplitude_ceiling,
+    amplitude_floor,
     decay_fit,
     default_grid,
     find_bracket,
@@ -74,8 +73,11 @@ class TestAmplitudeOracle:
             first_integral_amplitude(params), rel=1e-5
         )
 
-    def test_ceiling_above_amplitude(self, params1, gs1):
-        assert amplitude_ceiling(params1) > gs1.amplitude
+    def test_floor_below_amplitude(self, params1, gs1):
+        floor = amplitude_floor(params1)
+        assert floor < gs1.amplitude
+        rmax = default_grid(params1).rmax
+        assert shoot_classify(params1, floor * (1 - 1e-3), rmax) == -1
 
 
 class TestFirstIntegralReport:
@@ -127,12 +129,9 @@ class TestDiagnostics:
 
     def test_shot_counts(self, params1, gs1):
         diag = gs1.diagnostics
-        # the scan stops at the overshoot that closes the bracket
-        assert diag.bracket_shots < SCAN_POINTS
+        # the bracket closes at the first doubling of the floor that overshoots
         lo, hi = gs1.bracket
-        assert hi == pytest.approx(
-            diag.bracket_shots * amplitude_ceiling(params1) / SCAN_POINTS,
-            rel=1e-12)
+        assert hi == amplitude_floor(params1) * 2 ** diag.bracket_shots
         # each bisection shot halves the bracket down to the stop width
         width = (hi - lo) / 2 ** diag.bisection_shots
         assert width <= BISECTION_WIDTH * lo < 2 * width
@@ -226,17 +225,30 @@ class TestDomain:
 
 
 class TestHigherDimension:
-    def test_planar_ground_state_certified(self):
-        # certification needs a fine functional grid at N = 2: the radial
-        # trapezoid rule is only O(h^2) there, unlike the even-symmetric
-        # line case
-        params = Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0)
-        gs = solve_ground_state(params, RadialGrid(25.0, 64001))
+    @staticmethod
+    def assert_certified(gs):
         scale = abs(gs.report.action)
         assert gs.residual <= 1e-8
         assert abs(gs.report.nehari) <= 1e-6 * scale
         assert abs(gs.report.virial) <= 1e-6 * scale
+
+    def test_planar_ground_state_certified(self):
+        params = Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0)
+        gs = solve_ground_state(params)
+        self.assert_certified(gs)
         assert gs.decay_rate == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("N, p, q, omega", [
+        (2, 1.5, 4.0, 1.0),
+        (2, 2.0, 5.0, 1.0),
+        # amplitude 4.5x its floor: three doublings to the bracket
+        (3, 1.5, 3.0, 1.0),
+        # its default domain is extended once
+        (3, 1.2, 2.5, 0.5),
+    ])
+    def test_certified_on_default_grid(self, N, p, q, omega):
+        self.assert_certified(solve_ground_state(
+            Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=omega)))
 
 
 class TestResample:

@@ -64,7 +64,7 @@ class TestClassification:
     def test_sweep_rows_shape(self, gs1, gs_half, monkeypatch):
         solved = {0.5: gs_half, 1.0: gs1}
         monkeypatch.setattr(stability, "solve_ground_state",
-                            lambda params, grid: solved[params.omega])
+                            lambda params: solved[params.omega])
         rows = omega_sweep(gs1.params, [0.5, 1.0])
         assert [r["omega"] for r in rows] == [0.5, 1.0]
         assert [r["status"] for r in rows] == ["ok", "ok"]
