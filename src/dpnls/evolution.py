@@ -64,10 +64,20 @@ CFL_SHRINK = 0.5
 INVARIANCE_DRIFT = 1e-6
 #: Relative band within which mass(v) <= mass(phi) holds in blowup-set
 #: membership: the resampling error at the scale the scaling family
-#: preserves the mass.  ``stability.in_b_omega`` reads it too.
+#: preserves the mass.
 MASS_BAND = 1e-6
 #: Relative slack of the variance-curvature bound in ``concavity_audit``.
 CONCAVITY_SLACK = 1e-2
+
+
+def in_blowup_set(checks: tuple[float, float, float, float],
+                  mass: float) -> bool:
+    """Blowup-set membership from the margins checks = (S(v) - S(phi),
+    mass(v) - mass(phi), K(v), Q(v)) and mass(phi): the first, third and
+    fourth strictly negative, the second at most ``MASS_BAND`` * mass(phi)."""
+    action_gap, mass_gap, nehari, virial = checks
+    return bool(action_gap < 0 and mass_gap <= MASS_BAND * mass
+                and nehari < 0 and virial < 0)
 
 
 @dataclass(frozen=True)
@@ -345,10 +355,8 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
         return False
     first = verdict.trace[0]
     ref = gs.report
-    u0_checks = (first.action - ref.action, first.mass - ref.mass,
-                 first.nehari, first.virial_q)
-    if not (u0_checks[0] < 0 and u0_checks[1] <= MASS_BAND * ref.mass
-            and u0_checks[2] < 0 and u0_checks[3] < 0):
+    if not in_blowup_set((first.action - ref.action, first.mass - ref.mass,
+                          first.nehari, first.virial_q), ref.mass):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
     bound_slack = INVARIANCE_DRIFT * max(1.0, abs(bound))

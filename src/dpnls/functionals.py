@@ -64,11 +64,7 @@ class FunctionalReport:
 def _grad_sq_samples(state: State) -> np.ndarray:
     """|grad v|^2 samples on the state's grid."""
     if isinstance(state, RadialProfile):
-        if state.deriv is not None:
-            d = state.deriv
-        else:
-            d = np.gradient(state.values, state.grid.spacing, edge_order=2)
-        return d ** 2
+        return state.deriv ** 2
     k = state.grid.wavenumbers
     du = np.fft.ifft(1j * k * np.fft.fft(state.values))
     return np.abs(du) ** 2

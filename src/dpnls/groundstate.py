@@ -45,9 +45,8 @@ BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
 #: Relative tolerance of every shot: a shot must tell apart amplitudes half
 #: the stop width from the separatrix.
 SHOT_RTOL = BISECTION_WIDTH / 2.0
-#: Tolerances of the collocation polish, strictest first; a rung that does
-#: not converge falls back to the next.
-POLISH_LADDER = (1e-10, 1e-9, 3e-9)
+#: Tolerance of the collocation polish.
+POLISH_TOL = 1e-9
 #: Sup-norm of the stationary equation residual above which a solve fails.
 RESIDUAL_TOL = 1e-8
 #: Nodes of the default grid per ground-state width 1/sqrt(ω).
@@ -60,8 +59,6 @@ class SolveDiagnostics:
 
     bracket_shots: int      # doublings of the amplitude floor to the bracket
     bisection_shots: int
-    rung: float             # polish tolerance that converged
-    failed_rungs: tuple[tuple[float, int], ...]  # (tolerance, nodes) each
     mesh_nodes: int         # collocation nodes of the accepted polish
     extensions: int         # times the domain was lengthened
 
@@ -126,8 +123,7 @@ def _shoot(params: Params, amplitude: float, rmax: float,
 
     def rhs(r, y):
         phi, dphi = y
-        sing = 0.0 if r == 0.0 else (params.N - 1) / r * dphi
-        return [dphi, -sing - _force(phi, params)]
+        return [dphi, -(params.N - 1) / r * dphi - _force(phi, params)]
 
     def cross(r, y):
         return y[0]
@@ -155,26 +151,27 @@ def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     return 0
 
 
-def find_bracket(params: Params, rmax: float) -> tuple[float, float]:
-    """Amplitude bracket (lo undershoots, hi overshoots): from the floor s0,
-    which undershoots, the amplitude doubles up to the first overshoot."""
+def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
+    """Amplitude bracket (lo undershoots, hi overshoots) and the doublings
+    it took: from the floor s0, which undershoots, the amplitude doubles up
+    to the first overshoot."""
     floor = lo = hi = amplitude_floor(params)
+    doublings = 0
     while True:
         hi *= 2.0
+        doublings += 1
         if hi > 1e8:
             raise NoBracketError(
                 f"no overshoot in amplitudes from {floor:.3g} doubled up to 1e8")
         if shoot_classify(params, hi, rmax) > 0:
-            return lo, hi
+            return lo, hi, doublings
         lo = hi
 
 
 def _shoot_amplitude(params: Params, rmax: float):
     """(amplitude, bracket, bracket shots, bisection shots)."""
-    lo, hi = find_bracket(params, rmax)
+    lo, hi, doublings = find_bracket(params, rmax)
     bracket = (lo, hi)
-    # hi is the floor times an exact power of two
-    doublings = round(float(np.log2(hi / amplitude_floor(params))))
     # halvings that take the width below BISECTION_WIDTH * lo <= that * hi
     halvings = max(0, int(np.ceil(np.log2((hi - lo) / (BISECTION_WIDTH * lo)))))
     for _ in range(halvings):
@@ -203,9 +200,7 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
 
     The problem is solved in ξ = √ω r, where u_ξξ + (N-1)/ξ u_ξ =
     -force(u)/ω and the Robin condition is u_ξ + u = 0, so its scale does
-    not change with ω.  Returns the solution read in r, the ladder rung
-    that converged, the mesh size and the (tolerance, nodes) of each rung
-    that failed.
+    not change with ω.  Returns the solution read in r and the mesh size.
     """
     sw = np.sqrt(params.omega)
 
@@ -238,15 +233,13 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
         phi_m = max(float(ivp.sol(r_m)[0]), 1e-300)
         y0[0, ~inside] = phi_m * np.exp(-(x0[~inside] - sw * r_m))
         y0[1, ~inside] = -y0[0, ~inside]
-    # walk the ladder and keep the first mesh that converges
-    failed = []
-    for bvp_tol in POLISH_LADDER:
-        res = solve_bvp(rhs, bc, x0, y0, S=S, tol=bvp_tol,
-                        max_nodes=60000, verbose=0)
-        if res.success:
-            return _in_r(res.sol, sw), bvp_tol, res.x.size, failed
-        failed.append((bvp_tol, res.x.size))
-    raise ConvergenceError(f"BVP polish failed: {res.message}")
+    res = solve_bvp(rhs, bc, x0, y0, S=S, tol=POLISH_TOL,
+                    max_nodes=60000, verbose=0)
+    if not res.success:
+        raise ConvergenceError(
+            f"BVP polish at tol {POLISH_TOL:.0e} failed on {res.x.size} "
+            f"nodes: {res.message}")
+    return _in_r(res.sol, sw), res.x.size
 
 
 def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
@@ -284,13 +277,11 @@ def solve_ground_state(params: Params,
     rmax = grid.rmax
     amp, bracket, bracket_shots, bisection_shots = _shoot_amplitude(params, rmax)
 
-    failed = []
     for extension in range(3):
         if extension:
             rmax *= 1.5
             grid = RadialGrid(rmax, int(grid.n * 1.5))
-        sol, rung, nodes, rung_failures = _bvp_polish(params, amp, rmax)
-        failed += rung_failures
+        sol, nodes = _bvp_polish(params, amp, rmax)
         tail = abs(sol(rmax)[0]) / sol(0.0)[0]
         if tail < TAIL_FRACTION:
             break
@@ -324,8 +315,8 @@ def solve_ground_state(params: Params,
     if rate <= 0:
         raise CertificationError("fitted decay rate is not positive")
 
-    diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, rung,
-                                   tuple(failed), nodes, extension)
+    diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
+                                   extension)
     return GroundStateResult(profile, params, report, residual, rate,
                              float(phi[0]), bracket, diagnostics)
 

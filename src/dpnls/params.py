@@ -155,15 +155,12 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Real radial samples phi(r_j), optionally with derivative samples.
-
-    When ``deriv`` is present the gradient norm is computed from it; grids
-    produced by the ground-state solver always carry it.
-    """
+    """Real radial samples phi(r_j) with their derivative samples phi'(r_j),
+    from which the gradient norm is computed."""
 
     grid: RadialGrid
     values: np.ndarray
-    deriv: np.ndarray | None = None
+    deriv: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -172,11 +169,10 @@ class RadialProfile:
             raise InvalidStateError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise InvalidStateError("non-finite profile samples")
-        if self.deriv is not None:
-            d = np.asarray(self.deriv, dtype=float)
-            object.__setattr__(self, "deriv", d)
-            if d.shape != v.shape or not np.all(np.isfinite(d)):
-                raise InvalidStateError("invalid derivative samples")
+        d = np.asarray(self.deriv, dtype=float)
+        object.__setattr__(self, "deriv", d)
+        if d.shape != v.shape or not np.all(np.isfinite(d)):
+            raise InvalidStateError("invalid derivative samples")
 
 
 @dataclass(frozen=True)

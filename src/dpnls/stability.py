@@ -28,8 +28,8 @@ from .functionals import FunctionalReport, _check_resolved, functionals
 from .groundstate import (
     GroundStateResult, _check_identities, solve_ground_state)
 from .evolution import (
-    MASS_BAND, BlowupVerdict, EvolutionConfig, b_omega_invariance_audit,
-    concavity_audit, conservation_drift, evolve, uniform_prefix, virial_check)
+    BlowupVerdict, EvolutionConfig, b_omega_invariance_audit, concavity_audit,
+    conservation_drift, evolve, in_blowup_set, uniform_prefix, virial_check)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
@@ -48,8 +48,8 @@ class StabilityReport:
 class BOmegaVerdict:
     """Membership verdict with the raw margins of the four conditions.
 
-    checks = (S(v) - S(phi), mass(v) - mass(phi), K(v), Q(v)); the first,
-    third and fourth must be strictly negative, the second at most zero.
+    checks = (S(v) - S(phi), mass(v) - mass(phi), K(v), Q(v)), read by
+    ``evolution.in_blowup_set``.
     """
 
     in_set: bool
@@ -90,9 +90,7 @@ def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
     rv = functionals(v, gs.params)
     rg = gs.report
     checks = (rv.action - rg.action, rv.mass - rg.mass, rv.nehari, rv.virial)
-    strict = (checks[0], checks[2], checks[3])
-    in_set = all(c < 0 for c in strict) and checks[1] <= MASS_BAND * rg.mass
-    return BOmegaVerdict(bool(in_set), checks)
+    return BOmegaVerdict(in_blowup_set(checks, rg.mass), checks)
 
 
 def _embed(gs: GroundStateResult, lam: float,

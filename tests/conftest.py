@@ -67,10 +67,7 @@ def h1_distance(u, v, params):
     if u.grid != v.grid:
         raise InvalidStateError("grids differ")
     if isinstance(u, RadialProfile):
-        dder = None
-        if u.deriv is not None and v.deriv is not None:
-            dder = u.deriv - v.deriv
-        diff = RadialProfile(u.grid, u.values - v.values, dder)
+        diff = RadialProfile(u.grid, u.values - v.values, u.deriv - v.deriv)
     else:
         diff = ComplexField(u.grid, u.values - v.values)
     m, g, _, _ = raw_norms(diff, params)

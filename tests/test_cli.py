@@ -155,10 +155,9 @@ class TestGroundstateCommand:
         diag = json.loads((tmp_path / "groundstate.json").read_text())[
             "diagnostics"]
         assert sorted(diag) == ["bisection_shots", "bracket_shots",
-                                "extensions", "failed_rungs", "mesh_nodes",
-                                "rung"]
+                                "extensions", "mesh_nodes"]
         assert diag["bracket_shots"] > 0 and diag["bisection_shots"] > 0
-        assert diag["rung"] == 1e-10 and diag["failed_rungs"] == []
+        assert diag["mesh_nodes"] > 0 and diag["extensions"] == 0
 
     def test_invalid_exponents_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpnls.params import ComplexField, Params, PeriodicGrid
+from dpnls.params import ComplexField, MembershipError, Params, PeriodicGrid
 from dpnls.functionals import functionals
-from dpnls.stability import embed_on_line, make_scaled_data
+from dpnls.stability import _embed, embed_on_line, make_scaled_data
 from dpnls import evolution
 from dpnls.evolution import (
     EvolutionConfig,
@@ -217,6 +217,15 @@ class TestBlowup:
         u0, verdict = blowup_run
         assert verdict.final.grid == u0.grid
         assert verdict.final.values.shape == u0.values.shape
+
+    def test_invariance_audit_rejects_start_outside_the_set(self, gs_half):
+        # at omega = 0.5 a slightly compressed state has S(v) > S(phi)
+        u0 = _embed(gs_half, 1.01, PeriodicGrid(40.0, 8192))
+        verdict = evolve(u0, gs_half.params,
+                         EvolutionConfig(dt=1e-3, t_max=5e-3, record_every=1))
+        assert verdict.trace[0].action > gs_half.report.action
+        with pytest.raises(MembershipError, match="did not start inside"):
+            b_omega_invariance_audit(verdict, gs_half)
 
     def test_under_resolved_run_is_inconclusive(self, gs1):
         grid = PeriodicGrid(32.0, 512)

@@ -57,7 +57,7 @@ class TestQuadrature:
         vals = np.zeros(101)
         vals[3] = np.inf
         with pytest.raises(InvalidStateError):
-            RadialProfile(grid, vals)
+            RadialProfile(grid, vals, np.zeros(101))
 
     def test_refinement_convergence(self):
         # composite trapezoid: error drops at least at second order
