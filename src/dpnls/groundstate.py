@@ -10,10 +10,11 @@ states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_bvp, solve_ivp
+from scipy.integrate import ode, quad, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -45,6 +46,10 @@ BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
 #: Relative tolerance of every shot: a shot must tell apart amplitudes half
 #: the stop width from the separatrix.
 SHOT_RTOL = BISECTION_WIDTH / 2.0
+#: Step budget of one classifying shot.  The worst admissible shot measured,
+#: at (N, p, q, ω) = (3, 1.825, 4.419, 25.378), takes about 250 steps, half
+#: of scipy's default budget of 500; 5000 leaves a factor of 20.
+MAX_SHOT_STEPS = 5000
 #: Tolerance of the collocation polish.
 POLISH_TOL = 1e-9
 #: Sup-norm of the stationary equation residual above which a solve fails.
@@ -113,17 +118,23 @@ def amplitude_floor(params: Params) -> float:
     return brentq(f, 1e-12, hi, xtol=1e-12)
 
 
-def _shoot(params: Params, amplitude: float, rmax: float,
-           dense_output: bool = False):
-    """DOP853 trajectory from φ(0) = amplitude, φ'(0) = 0 towards rmax.
-
-    It stops at the first zero crossing of φ (event 0) or the first turn of
-    φ' to positive values (event 1).
-    """
+def _radial_rhs(params: Params):
+    """(φ, φ') ↦ (φ', φ'') of the radial equation, for both integrators."""
 
     def rhs(r, y):
         phi, dphi = y
         return [dphi, -(params.N - 1) / r * dphi - _force(phi, params)]
+
+    return rhs
+
+
+def _shoot(params: Params, amplitude: float, rmax: float):
+    """Dense DOP853 trajectory from φ(0) = amplitude, φ'(0) = 0 towards
+    rmax, the seed of the polish.
+
+    It stops at the first zero crossing of φ (event 0) or the first turn of
+    φ' to positive values (event 1).
+    """
 
     def cross(r, y):
         return y[0]
@@ -135,20 +146,45 @@ def _shoot(params: Params, amplitude: float, rmax: float,
     turn.terminal = True
     turn.direction = 1
 
-    return solve_ivp(rhs, (1e-12, rmax), [amplitude, 0.0], method="DOP853",
-                     rtol=SHOT_RTOL, atol=1e-16, events=(cross, turn),
-                     dense_output=dense_output)
+    return solve_ivp(_radial_rhs(params), (1e-12, rmax), [amplitude, 0.0],
+                     method="DOP853", rtol=SHOT_RTOL, atol=1e-16,
+                     events=(cross, turn), dense_output=True)
 
 
 def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
     """+1 if the trajectory crosses zero (amplitude too large), -1 if it
-    turns back up at positive value (too small), 0 if neither event fires."""
-    sol = _shoot(params, amplitude, rmax)
-    if sol.t_events[0].size:
-        return 1
-    if sol.t_events[1].size:
-        return -1
-    return 0
+    turns back up at positive value (too small), 0 if neither happens
+    before rmax.
+
+    The shot runs the compiled DOP853 of ``scipy.integrate.ode`` and stops
+    at the first accepted step that decides it.  A step that ends with
+    φ < 0 is read before one that ends with φ' > 0, in the event order of
+    ``_shoot``.
+    """
+    verdict = 0
+
+    def decide(r, y):
+        nonlocal verdict
+        verdict = 1 if y[0] < 0.0 else -1 if y[1] > 0.0 else 0
+        return -1 if verdict else 0
+
+    shot = ode(_radial_rhs(params)).set_integrator(
+        "dop853", rtol=SHOT_RTOL, atol=1e-16, nsteps=MAX_SHOT_STEPS)
+    shot.set_solout(decide)
+    shot.set_initial_value([amplitude, 0.0], 1e-12)
+    with warnings.catch_warnings():
+        # a failed shot warns and stops; its return code raises below
+        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+        shot.integrate(rmax)
+    code = shot.get_return_code()
+    if code < 0:
+        cause = {-2: f"more than {MAX_SHOT_STEPS} steps",
+                 -3: "step size too small",
+                 -4: "problem probably stiff"}.get(code, "inconsistent input")
+        raise ConvergenceError(
+            f"shot from amplitude {amplitude!r} failed with DOP853 code "
+            f"{code} ({cause})")
+    return verdict
 
 
 def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
@@ -218,7 +254,7 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
     x0 = np.linspace(0.0, sw * rmax, 2001)
     # shooting trajectory as initial guess, with an asymptotic tail past the
     # radius where bisection noise takes over
-    ivp = _shoot(params, amplitude, rmax, dense_output=True)
+    ivp = _shoot(params, amplitude, rmax)
     # splice an exponential tail where the bisected trajectory drops below
     # SPLICE_LEVEL of the amplitude (still accurate there; garbage further out)
     rr = np.linspace(0.0, ivp.t[-1], 10000)

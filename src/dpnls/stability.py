@@ -12,7 +12,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .params import (
 )
 from .functionals import FunctionalReport, _check_resolved, functionals
 from .groundstate import (
-    GroundStateResult, _check_identities, solve_ground_state)
+    GroundStateResult, SolveDiagnostics, _check_identities, solve_ground_state)
 from .evolution import (
     BlowupVerdict, EvolutionConfig, b_omega_invariance_audit, concavity_audit,
     conservation_drift, evolve, in_blowup_set, uniform_prefix, virial_check)
@@ -183,15 +183,19 @@ def omega_sweep(params: Params, omegas) -> list[dict]:
     """Solve and classify the ground state of ``params`` at each omega.
 
     One row per omega with omega, amplitude, action, energy, d2s,
-    criterion_met and status: "ok", "identity-check-failed", or
-    "error: <message>" when the solve or the classification raised one of
-    the package's ``ERRORS``; the sweep goes on past such a row.
+    criterion_met, the solver's diagnostics (bracket_shots,
+    bisection_shots, mesh_nodes, extensions) and status: "ok",
+    "identity-check-failed", or "error: <message>" when the solve or the
+    classification raised one of the package's ``ERRORS``; such a row holds
+    NaN in place of every computed value, and the sweep goes on past it.
     """
     nan = float("nan")
     rows = []
     for w in omegas:
         row = {"omega": w, "amplitude": nan, "action": nan, "energy": nan,
-               "d2s": nan, "criterion_met": False, "status": "ok"}
+               "d2s": nan, "criterion_met": False,
+               **{f.name: nan for f in fields(SolveDiagnostics)},
+               "status": "ok"}
         try:
             gs = solve_ground_state(params.with_omega(w))
             rep = classify(gs)
@@ -200,7 +204,8 @@ def omega_sweep(params: Params, omegas) -> list[dict]:
         else:
             row.update(amplitude=gs.amplitude, action=gs.report.action,
                        energy=rep.energy, d2s=rep.d2s,
-                       criterion_met=rep.criterion_met)
+                       criterion_met=rep.criterion_met,
+                       **asdict(gs.diagnostics))
             if not rep.remark13_consistent:
                 row["status"] = "identity-check-failed"
         rows.append(row)

@@ -182,11 +182,17 @@ class TestClassifyCommand:
                    "--no-timestamp") == 0
         lines = (out / "classify.csv").read_text().splitlines()
         assert lines[0] == ("omega,amplitude,action,energy,d2s,criterion_met,"
-                            "status")
+                            "bracket_shots,bisection_shots,mesh_nodes,"
+                            "extensions,status")
         rows = [dict(zip(lines[0].split(","), l.split(",")))
                 for l in lines[1:]]
         assert [r["criterion_met"] for r in rows] == ["false", "true"]
         assert all(r["status"] == "ok" for r in rows)
+        # the doubling bracket is (s, 2s), so 39 halvings reach 2e-12
+        for r in rows:
+            assert (r["bracket_shots"], r["bisection_shots"],
+                    r["extensions"]) == ("1", "39", "0")
+            assert int(r["mesh_nodes"]) >= 2001
         summary = json.loads((out / "classify_summary.json").read_text())
         assert summary == {"rows": 2, "failures": 0}
 
@@ -214,6 +220,8 @@ class TestClassifyCommand:
                    "--no-timestamp") == 0
         row = (out / "classify.csv").read_text().splitlines()[1]
         assert row.endswith("error: omega must be positive")
+        # every number, the solver diagnostics included, is NaN
+        assert row.startswith("-0.5,nan,nan,nan,nan,false,nan,nan,nan,nan,")
 
     def test_program_fault_is_not_a_row(self, tmp_path, monkeypatch):
         # only the package's error taxonomy becomes a row status; any other

@@ -12,6 +12,7 @@ equation the first integral at the origin pins the amplitude to machine
 precision, and the Nehari / virial certificates are checked directly.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from scipy.interpolate import CubicSpline
 from dpnls import groundstate
 from dpnls.params import (
     ERRORS,
+    CertificationError,
+    ConvergenceError,
     NoBracketError,
     Params,
     RadialGrid,
@@ -196,6 +199,33 @@ class TestShooting:
         )
         assert switches == 1
 
+    @pytest.mark.parametrize("N, p, q", [(1, 3.0, 7.0), (2, 1.5, 4.0),
+                                         (3, 1.5, 3.0)])
+    def test_compiled_shot_matches_dense_events(self, N, p, q):
+        # the compiled classification against the events of the solve_ivp
+        # shot that seeds the polish, on both sides of the separatrix and
+        # down to five times the bisection stop width
+        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
+        rmax = default_grid(params).rmax
+        amp = groundstate._shoot_amplitude(params, rmax)[0]
+        for delta in (1e-3, 1e-8, 1e-11, 0.3, 0.5):
+            for side in (-1, 1):
+                shot = amp * (1 + side * delta)
+                dense = groundstate._shoot(params, shot, rmax)
+                events = (1 if dense.t_events[0].size
+                          else -1 if dense.t_events[1].size else 0)
+                assert shoot_classify(params, shot, rmax) == events == side, \
+                    (side, delta)
+
+    def test_step_budget_raises(self, params1, monkeypatch):
+        monkeypatch.setattr(groundstate, "MAX_SHOT_STEPS", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError,
+                               match=r"amplitude 1\.5 .* code -2 "
+                                     r"\(more than 5 steps\)"):
+                shoot_classify(params1, 1.5, default_grid(params1).rmax)
+
     def test_no_bracket_for_defocusing_signs(self):
         # with both powers repulsive there is no turning amplitude at all
         params = Params.relaxed(
@@ -255,6 +285,17 @@ class TestHigherDimension:
     def test_certified_on_default_grid(self, N, p, q, omega):
         self.assert_certified(solve_ground_state(
             Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=omega)))
+
+    # the N = 2 certificate fails near the top of the admissible q range
+    # at large ω, with |K| about 8e-6 of |S|: the FOUND line in CHANGES.md
+    # and ROADMAP item 8
+    @pytest.mark.xfail(strict=True, raises=CertificationError,
+                       reason="|K| about 8e-6 of |S| at N = 2, q = 7.9, "
+                              "omega = 30")
+    @pytest.mark.parametrize("p", [2.9, 1.2])
+    def test_high_q_large_omega_certifies(self, p):
+        self.assert_certified(solve_ground_state(
+            Params(N=2, a=1.0, b=1.0, p=p, q=7.9, omega=30.0)))
 
 
 @st.composite
