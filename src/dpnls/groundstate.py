@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, quad, solve_bvp, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.integrate import ode, quad, solve_bvp
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
 from .params import (
@@ -119,7 +119,8 @@ def amplitude_floor(params: Params) -> float:
 
 
 def _radial_rhs(params: Params):
-    """(φ, φ') ↦ (φ', φ'') of the radial equation, for both integrators."""
+    """(φ, φ') ↦ (φ', φ'') of the radial equation, the one right-hand side
+    of every shot."""
 
     def rhs(r, y):
         phi, dphi = y
@@ -128,43 +129,21 @@ def _radial_rhs(params: Params):
     return rhs
 
 
-def _shoot(params: Params, amplitude: float, rmax: float):
-    """Dense DOP853 trajectory from φ(0) = amplitude, φ'(0) = 0 towards
-    rmax, the seed of the polish.
-
-    It stops at the first zero crossing of φ (event 0) or the first turn of
-    φ' to positive values (event 1).
-    """
-
-    def cross(r, y):
-        return y[0]
-    cross.terminal = True
-    cross.direction = -1
-
-    def turn(r, y):
-        return y[1]
-    turn.terminal = True
-    turn.direction = 1
-
-    return solve_ivp(_radial_rhs(params), (1e-12, rmax), [amplitude, 0.0],
-                     method="DOP853", rtol=SHOT_RTOL, atol=1e-16,
-                     events=(cross, turn), dense_output=True)
-
-
-def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
-    """+1 if the trajectory crosses zero (amplitude too large), -1 if it
-    turns back up at positive value (too small), 0 if neither happens
-    before rmax.
+def _shot(params: Params, amplitude: float, rmax: float):
+    """(verdict, r, y): one DOP853 shot from φ(0) = amplitude, φ'(0) = 0
+    towards rmax, with its accepted steps r and (φ, φ') at each.
 
     The shot runs the compiled DOP853 of ``scipy.integrate.ode`` and stops
-    at the first accepted step that decides it.  A step that ends with
-    φ < 0 is read before one that ends with φ' > 0, in the event order of
-    ``_shoot``.
+    at the first accepted step that decides it: +1 if that step ends with
+    φ < 0 (amplitude too large), else -1 if it ends with φ' > 0 (too
+    small); 0 if neither happens before rmax.
     """
     verdict = 0
+    steps = []
 
     def decide(r, y):
         nonlocal verdict
+        steps.append((r, y[0], y[1]))
         verdict = 1 if y[0] < 0.0 else -1 if y[1] > 0.0 else 0
         return -1 if verdict else 0
 
@@ -184,7 +163,17 @@ def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
         raise ConvergenceError(
             f"shot from amplitude {amplitude!r} failed with DOP853 code "
             f"{code} ({cause})")
-    return verdict
+    record = np.array(steps)
+    # scipy keeps ``decide`` alive after the shot, and with it this list
+    steps.clear()
+    return verdict, record[:, 0], record[:, 1:]
+
+
+def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
+    """+1 if the trajectory crosses zero (amplitude too large), -1 if it
+    turns back up at positive value (too small), 0 if neither happens
+    before rmax."""
+    return _shot(params, amplitude, rmax)[0]
 
 
 def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
@@ -252,22 +241,21 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
     x0 = np.linspace(0.0, sw * rmax, 2001)
-    # shooting trajectory as initial guess, with an asymptotic tail past the
-    # radius where bisection noise takes over
-    ivp = _shoot(params, amplitude, rmax)
-    # splice an exponential tail where the bisected trajectory drops below
-    # SPLICE_LEVEL of the amplitude (still accurate there; garbage further out)
-    rr = np.linspace(0.0, ivp.t[-1], 10000)
-    ph = ivp.sol(rr)[0]
-    low = np.nonzero(ph < SPLICE_LEVEL * amplitude)[0]
-    r_m = rr[low[0]] if low.size else ivp.t[-1]
+    # the shot of the bisected amplitude as initial guess, up to its first
+    # step below SPLICE_LEVEL of the amplitude (still accurate there;
+    # bisection noise takes over further out), then an exponential tail
+    _, r, y = _shot(params, amplitude, rmax)
+    low = np.nonzero(y[:, 0] < SPLICE_LEVEL * amplitude)[0]
+    if low.size:
+        r, y = r[:low[0] + 1], y[:low[0] + 1]
+    seed = CubicHermiteSpline(r, y, np.array(_radial_rhs(params)(r, y.T)).T)
     y0 = np.empty((2, x0.size))
-    inside = x0 <= sw * r_m
-    y0[:, inside] = ivp.sol(x0[inside] / sw)
+    inside = x0 <= sw * r[-1]
+    y0[:, inside] = seed(x0[inside] / sw).T
     y0[1, inside] /= sw
     if not np.all(inside):
-        phi_m = max(float(ivp.sol(r_m)[0]), 1e-300)
-        y0[0, ~inside] = phi_m * np.exp(-(x0[~inside] - sw * r_m))
+        phi_m = max(float(y[-1, 0]), 1e-300)
+        y0[0, ~inside] = phi_m * np.exp(-(x0[~inside] - sw * r[-1]))
         y0[1, ~inside] = -y0[0, ~inside]
     res = solve_bvp(rhs, bc, x0, y0, S=S, tol=POLISH_TOL,
                     max_nodes=60000, verbose=0)

@@ -59,6 +59,14 @@ def _pow1(k, lam):
     return np.expm1(k * np.log(lam))
 
 
+def _aim_factors(lam, al, be):
+    """(2 lam^be - be lam^2 - 2 + be, al lam^2 - 2 lam^al - al + 2), the
+    factors of g1 and of the aim ratio, written as differences lambda^k - 1
+    so that they stay accurate through their double zeros at lambda = 1."""
+    sq = _pow1(2, lam)
+    return 2 * _pow1(be, lam) - be * sq, al * sq - 2 * _pow1(al, lam)
+
+
 def _check_lam(lam, open_right=False):
     lam = np.asarray(lam, dtype=float)
     hi_ok = np.all(lam < 1.0) if open_right else np.all(lam <= 1.0)
@@ -93,10 +101,7 @@ def g1_fn(lam, ep: ExponentPair):
     differences lambda^k - 1 so the ratio stays accurate near 1."""
     lam = _check_lam(lam, open_right=True)
     al, be = ep.alpha, ep.beta
-    # numerator factor 2 lam^be - be lam^2 - 2 + be = 2(lam^be-1) - be(lam^2-1)
-    u = 2 * _pow1(be, lam) - be * _pow1(2, lam)
-    # denominator factor al lam^2 - 2 lam^al - al + 2 = al(lam^2-1) - 2(lam^al-1)
-    w = al * _pow1(2, lam) - 2 * _pow1(al, lam)
+    u, w = _aim_factors(lam, al, be)
     if np.any(np.abs(w) < 1e-14):
         raise ZeroDivisionError("g1 denominator too close to zero")
     c = al * be + 4 - 2 * al - al * be * lam ** (2 - al)
@@ -208,8 +213,8 @@ def aim_inequality_margin(report: FunctionalReport, params: Params,
     num = 2 lam0^be - be lam0^2 - 2 + be and
     den = al lam0^2 - 2 lam0^al - al + 2.
 
-    Both vanish to second order at lam0 = 1.  They are evaluated as
-    differences lambda^k - 1 as in g1; within AIM_SERIES_LOG of lambda = 1
+    Both vanish to second order at lam0 = 1.  They come from
+    ``_aim_factors``, as in g1; within AIM_SERIES_LOG of lambda = 1
     the ratio is read from its expansion L (1 + (be - al) log(lam0) / 3),
     whose limit L = be (be - 2) / (al (2 - al)) is the value at lam0 = 1.
     """
@@ -218,8 +223,7 @@ def aim_inequality_margin(report: FunctionalReport, params: Params,
     if abs(ell) < AIM_SERIES_LOG:
         ratio = be * (be - 2) / (al * (2 - al)) * (1 + (be - al) * ell / 3)
     else:
-        num = 2 * _pow1(be, lam0) - be * _pow1(2, lam0)
-        den = al * _pow1(2, lam0) - 2 * _pow1(al, lam0)
+        num, den = _aim_factors(lam0, al, be)
         ratio = num / den
     lhs = params.a / (params.p + 1) * report.lp
     rhs = params.b / (params.q + 1) * ratio * report.lq

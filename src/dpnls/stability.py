@@ -174,11 +174,6 @@ def blowup_sweep(gs: GroundStateResult, lambdas, grid: PeriodicGrid,
     return results
 
 
-def embed_on_line(gs: GroundStateResult, grid: PeriodicGrid) -> ComplexField:
-    """phi itself on the evolution grid (standing-wave initial data)."""
-    return _embed(gs, 1.0, grid)
-
-
 def omega_sweep(params: Params, omegas) -> list[dict]:
     """Solve and classify the ground state of ``params`` at each omega.
 

@@ -24,9 +24,9 @@ from dpnls.params import ComplexField, Params, PeriodicGrid, PreconditionError
 from dpnls.functionals import at_scale, functionals, report_from_norms
 from dpnls.groundstate import first_integral_amplitude, solve_ground_state
 from dpnls.stability import (
+    _embed,
     blowup_sweep,
     classify,
-    embed_on_line,
     make_scaled_data,
     remark13_decomposition,
 )
@@ -126,7 +126,7 @@ def test_criterion_4_key_estimate(gs1):
 
 def test_criterion_5_standing_wave_fidelity(gs_half):
     grid = PeriodicGrid(72.0, 2048)
-    u0 = embed_on_line(gs_half, grid)
+    u0 = _embed(gs_half, 1.0, grid)
     t_max = 10.0 / gs_half.params.omega
     cfg = EvolutionConfig(dt=2e-3, t_max=t_max, record_every=500)
     verdict = evolve(u0, gs_half.params, cfg)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpnls.params import ComplexField, MembershipError, Params, PeriodicGrid
 from dpnls.functionals import functionals
-from dpnls.stability import _embed, embed_on_line, make_scaled_data
+from dpnls.stability import _embed, make_scaled_data
 from dpnls import evolution
 from dpnls.evolution import (
     EvolutionConfig,
@@ -29,7 +29,7 @@ from conftest import BASE
 
 def standing_error(gs, grid, dt, t_max):
     """Sup deviation of |u| from phi after evolving the embedded wave."""
-    u0 = embed_on_line(gs, grid)
+    u0 = _embed(gs, 1.0, grid)
     cfg = EvolutionConfig(dt=dt, t_max=t_max, record_every=10 ** 9)
     verdict = evolve(u0, gs.params, cfg)
     assert not verdict.blew_up
@@ -70,7 +70,7 @@ class TestBasics:
 
     def test_mass_conserved_to_roundoff(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
-        u0 = embed_on_line(gs_half, grid)
+        u0 = _embed(gs_half, 1.0, grid)
         cfg = EvolutionConfig(dt=2e-3, t_max=2.0, record_every=100)
         verdict = evolve(u0, gs_half.params, cfg)
         m0 = verdict.trace[0].mass
@@ -79,7 +79,7 @@ class TestBasics:
 
     def test_fused_loop_matches_unfused_reference(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
-        u0 = embed_on_line(gs_half, grid)
+        u0 = _embed(gs_half, 1.0, grid)
         # t_max is not a multiple of dt: the shorter last step rebuilds the
         # rotation
         dt, t_max = 2e-3, 0.5013
@@ -145,7 +145,7 @@ class TestStandingWave:
 
     def test_strang_second_order(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
-        u0 = embed_on_line(gs_half, grid)
+        u0 = _embed(gs_half, 1.0, grid)
 
         def final_state(dt):
             cfg = EvolutionConfig(dt=dt, t_max=1.0, record_every=10 ** 9)
@@ -159,7 +159,7 @@ class TestStandingWave:
 
     def test_virial_stays_flat(self, gs_half):
         grid = PeriodicGrid(72.0, 2048)
-        u0 = embed_on_line(gs_half, grid)
+        u0 = _embed(gs_half, 1.0, grid)
         cfg = EvolutionConfig(dt=2e-3, t_max=2.0, record_every=20)
         verdict = evolve(u0, gs_half.params, cfg)
         # Q(phi) = 0, so the variance should be nearly quadratic-free

@@ -16,10 +16,10 @@ from dpnls.functionals import at_scale, functionals
 from dpnls.groundstate import first_integral_report
 from dpnls import stability
 from dpnls.stability import (
+    _embed,
     blowup_run,
     blowup_sweep,
     classify,
-    embed_on_line,
     in_b_omega,
     make_scaled_data,
     omega_sweep,
@@ -103,7 +103,7 @@ class TestMembership:
         assert abs(dm) <= 1e-6 * gs1.report.mass
 
     def test_ground_state_on_boundary(self, gs1):
-        u0 = embed_on_line(gs1, GRID)
+        u0 = _embed(gs1, 1.0, GRID)
         verdict = in_b_omega(u0, gs1)
         # phi sits on the boundary: S, K, Q margins all vanish
         assert not verdict.in_set
@@ -143,7 +143,7 @@ class TestScaledData:
                     getattr(want, name), rel=1e-6), (lam, name)
 
     def test_distance_shrinks_toward_lambda_one(self, gs1):
-        phi = embed_on_line(gs1, GRID)
+        phi = _embed(gs1, 1.0, GRID)
         dists = [
             h1_distance(make_scaled_data(gs1, lam, GRID), phi, gs1.params)
             for lam in (1.5, 1.2, 1.05)
