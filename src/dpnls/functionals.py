@@ -37,12 +37,15 @@ def sphere_area(N: int) -> float:
 def radial_rule(grid: RadialGrid, N: int):
     """The quadrature samples -> sigma_N * trapezoid of samples * r^{N-1}
     over [0, rmax]; sigma_N and r^{N-1} are computed once per rule.  At
-    N = 2 the integrand r g(r) has slope g(0) at 0, so the rule adds the
-    Euler-Maclaurin end term h^2/12 g(0); at N = 1 and N >= 3 the slope is 0."""
+    N = 2 the integrand f = r g(r) of an even g has f'(0) = g(0) and
+    f^(3)(0) = 3 g''(0) ~ 6 (g(h) - g(0)) / h^2, so the rule adds the
+    Euler-Maclaurin end terms h^2/12 f'(0) - h^4/720 f^(3)(0), which is
+    h^2/120 (11 g(0) - g(h)).  At odd N f is even and has none; at N = 4
+    the rule omits the h^4 term of f^(3)(0) = 6 g(0)."""
     sigma, weight, dx = sphere_area(N), grid.r ** (N - 1), grid.spacing
-    end = dx ** 2 / 12.0 if N == 2 else 0.0
+    end = dx ** 2 / 120.0 if N == 2 else 0.0
     return lambda samples: sigma * (float(np.trapezoid(samples * weight, dx=dx))
-                                    + end * float(samples[0]))
+                                    + end * float(11.0 * samples[0] - samples[1]))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,10 @@ SPLICE_LEVEL = 1e-6
 #: trajectory from the bracket midpoint, at most half the width off the
 #: separatrix, departs from it like (width/2) e^{√ω r} while the profile
 #: decays like e^{-√ω r}.  At the splice radius e^{√ω r} = 1/SPLICE_LEVEL,
-#: so this width keeps the departure below the splice level out to there.
+#: so with this width the departure there equals the splice level.  A shot
+#: may decide before it falls to that level (at N = 1, p = 3, q = 7, ω = 10
+#: it turns at 1.24e-6 of the amplitude); the polish seed then has no
+#: splice cut, and its exponential tail starts at the deciding step.
 BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
 #: Relative tolerance of every shot: a shot must tell apart amplitudes half
 #: the stop width from the separatrix.
@@ -81,19 +84,13 @@ class GroundStateResult:
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
 
-    def __post_init__(self):
-        # one cubic spline through the (φ, φ') samples, shared by every resample
-        object.__setattr__(self, "_spline", CubicSpline(
-            self.profile.grid.r,
-            np.stack([self.profile.values, self.profile.deriv], axis=-1)))
-
-    def resample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(φ, φ') at arbitrary radii, zero outside [0, rmax]."""
-        rmax = self.profile.grid.rmax
+    def resample(self, r: np.ndarray) -> np.ndarray:
+        """φ at arbitrary radii, zero outside [0, rmax], from a cubic spline
+        of the profile values built on each call."""
+        grid = self.profile.grid
         r = np.asarray(r, dtype=float)
-        inside = ((r >= 0.0) & (r <= rmax))[..., None]
-        both = np.where(inside, self._spline(np.clip(r, 0.0, rmax)), 0.0)
-        return both[..., 0], both[..., 1]
+        phi = CubicSpline(grid.r, self.profile.values)(np.clip(r, 0.0, grid.rmax))
+        return np.where((r >= 0.0) & (r <= grid.rmax), phi, 0.0)
 
 
 def _force(phi, params: Params):
@@ -281,11 +278,13 @@ def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
 
 def _check_identities(report: FunctionalReport):
     """Raise CertificationError unless |K| and |Q| are within IDENTITY_RTOL
-    of the action."""
+    of |S|, the absolute action."""
+    action = abs(report.action)
     for name, val in (("nehari", report.nehari), ("virial", report.virial)):
-        if abs(val) > IDENTITY_RTOL * abs(report.action):
+        if abs(val) > IDENTITY_RTOL * action:
             raise CertificationError(
-                f"|{name}| = {abs(val):.2e} exceeds {IDENTITY_RTOL:.0e} * action")
+                f"|{name}| / |S| = {abs(val) / action:.2e} exceeds "
+                f"IDENTITY_RTOL = {IDENTITY_RTOL:.0e} (|S| = {action:.6g})")
 
 
 def default_grid(params: Params) -> RadialGrid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .params import Params, PreconditionError, RadialProfile
+from .params import Params, PreconditionError, RadialGrid, RadialProfile
 from .functionals import (
     FunctionalReport,
     at_scale,
@@ -234,24 +234,27 @@ def perturbed_profiles(gs: GroundStateResult, rng: np.random.Generator,
                        count: int):
     """Candidate states (1 + eps*bump) * phi^lam with analytic derivatives.
 
-    Yields RadialProfile candidates; callers filter them through the Lemma
+    Each candidate is sampled on the ground state's grid scaled by 1/lam,
+    where phi^lam(r_j / lam) = lam^{N/2} phi(r_j) needs no interpolation.
+    Callers filter the RadialProfile candidates through the Lemma
     hypotheses before use.
     """
     g = gs.profile.grid
-    r = g.r
+    phi, dphi = gs.profile.values, gs.profile.deriv
     out = []
     for _ in range(count):
         lam = rng.uniform(1.0, 3.0)
         eps = rng.uniform(-MAX_BUMP, MAX_BUMP)
         r0 = rng.uniform(0.0, g.rmax / 4.0)
         w = rng.uniform(0.5, 3.0) / np.sqrt(gs.params.omega)
-        base, dbase = gs.resample(lam * r)
+        scaled = RadialGrid(g.rmax / lam, g.n)
+        r = scaled.r
         amp = lam ** (gs.params.N / 2.0)
         bump = np.exp(-((r - r0) / w) ** 2)
         dbump = bump * (-2.0 * (r - r0) / w ** 2)
-        vals = amp * base * (1.0 + eps * bump)
-        der = amp * (lam * dbase * (1.0 + eps * bump) + base * eps * dbump)
-        out.append(RadialProfile(g, vals, der))
+        vals = amp * phi * (1.0 + eps * bump)
+        der = amp * (lam * dphi * (1.0 + eps * bump) + phi * eps * dbump)
+        out.append(RadialProfile(scaled, vals, der))
     return out
 
 

@@ -98,7 +98,7 @@ def _embed(gs: GroundStateResult, lam: float,
     """phi^lambda on the line by even reflection, checked for resolution."""
     if gs.params.N != 1:
         raise PreconditionError("line embedding is defined for N = 1 profiles")
-    vals, _ = gs.resample(lam * np.abs(grid.x))
+    vals = gs.resample(lam * np.abs(grid.x))
     u = np.sqrt(lam) * vals.astype(complex)
     _check_resolved(u)
     return ComplexField(grid, u)

@@ -161,6 +161,15 @@ class TestCertificates:
         gs = solve_ground_state(Params(omega=4.0, **BASE))
         assert gs.decay_rate == pytest.approx(2.0, rel=0.1)
 
+    def test_failure_states_ratio_gate_and_action(self, gs1):
+        action = abs(gs1.report.action)
+        report = replace(gs1.report, nehari=2e-6 * action)
+        with pytest.raises(CertificationError) as err:
+            groundstate._check_identities(report)
+        assert str(err.value) == (
+            "|nehari| / |S| = 2.00e-06 exceeds IDENTITY_RTOL = 1e-06 "
+            f"(|S| = {action:.6g})")
+
     def test_bracket_straddles_amplitude(self, gs1):
         lo, hi = gs1.bracket
         assert lo < gs1.amplitude < hi
@@ -343,12 +352,8 @@ class TestHigherDimension:
         self.assert_certified(solve_ground_state(
             Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=omega)))
 
-    # the N = 2 certificate fails near the top of the admissible q range
-    # at large ω, with |K| about 8e-6 of |S|: the FOUND line in CHANGES.md
-    # and ROADMAP item 8
-    @pytest.mark.xfail(strict=True, raises=CertificationError,
-                       reason="|K| about 8e-6 of |S| at N = 2, q = 7.9, "
-                              "omega = 30")
+    # near the top of the admissible q range at large ω; |K|/|S| is about
+    # 7e-9 with the h^4 end term of the N = 2 quadrature, 1.1e-6 without
     @pytest.mark.parametrize("p", [2.9, 1.2])
     def test_high_q_large_omega_certifies(self, p):
         self.assert_certified(solve_ground_state(
@@ -375,6 +380,8 @@ class TestAdmissibleParameters:
     def test_certified_or_package_error(self, params):
         try:
             gs = solve_ground_state(params)
+        except CertificationError:
+            raise   # an uncertified state is a defect, not an allowed outcome
         except ERRORS:
             return
         scale = abs(gs.report.action)
@@ -388,39 +395,21 @@ class TestResample:
     def test_matches_fresh_splines(self, gs1, lam):
         grid = gs1.profile.grid
         r = lam * grid.r
-        phi, dphi = gs1.resample(r)
+        phi = gs1.resample(r)
         inside = r <= grid.rmax
-        at = np.clip(r, 0.0, grid.rmax)
-        for got, samples in ((phi, gs1.profile.values),
-                             (dphi, gs1.profile.deriv)):
-            want = CubicSpline(grid.r, samples)(at)
-            assert np.array_equal(got[inside], want[inside])
-            assert np.all(got[~inside] == 0.0)
+        want = CubicSpline(grid.r, gs1.profile.values)(np.clip(r, 0.0, grid.rmax))
+        assert np.array_equal(phi[inside], want[inside])
+        assert np.all(phi[~inside] == 0.0)
         assert np.any(~inside) == (lam > 1.0)
-
-    def test_one_spline_per_result(self, gs1, monkeypatch):
-        built = []
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return CubicSpline(*args, **kwargs)
-
-        monkeypatch.setattr(groundstate, "CubicSpline", counting)
-        gs = replace(gs1)
-        for lam in (1.0, 1.5, 2.0):
-            gs.resample(lam * gs.profile.grid.r)
-        assert len(built) == 1
 
     def test_results_do_not_share_a_spline(self, gs1):
         prof = gs1.profile
         doubled = replace(gs1, profile=RadialProfile(
             prof.grid, 2.0 * prof.values, 2.0 * prof.deriv))
         r = 1.3 * prof.grid.r
-        phi, dphi = gs1.resample(r)
-        phi2, dphi2 = doubled.resample(r)
-        assert np.array_equal(phi2, 2.0 * phi)
-        assert np.array_equal(dphi2, 2.0 * dphi)
-        assert np.array_equal(gs1.resample(r)[0], phi)
+        phi = gs1.resample(r)
+        assert np.array_equal(doubled.resample(r), 2.0 * phi)
+        assert np.array_equal(gs1.resample(r), phi)
 
 
 class TestGridConsistency:

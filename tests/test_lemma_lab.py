@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dpnls.params import Params, PreconditionError
 from dpnls.functionals import at_scale, functionals, report_from_norms
+from dpnls.groundstate import solve_ground_state
 from dpnls import lemma_lab
 from dpnls.lemma_lab import (
     ExponentPair,
@@ -193,6 +194,24 @@ class TestKeyEstimate:
             kept += 1
             assert chk.margin >= -1e-8 * max(1.0, abs(chk.rhs))
         assert kept >= 10
+
+    @pytest.mark.parametrize("N, p, q", [(1, 3.0, 7.0), (2, 2.0, 4.0),
+                                         (3, 1.5, 3.0)])
+    def test_unbumped_candidates_scale_exactly(self, monkeypatch, N, p, q):
+        # with no bump a candidate is phi^lam sampled on the scaled grid, so
+        # its discrete norms are the ground state's scaled in closed form
+        monkeypatch.setattr(lemma_lab, "MAX_BUMP", 0.0)
+        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
+        gs = solve_ground_state(params)
+        replay = np.random.default_rng(3)
+        for prof in perturbed_profiles(gs, np.random.default_rng(3), 8):
+            lam = replay.uniform(1.0, 3.0)
+            replay.uniform(size=3)      # eps, r0 and w
+            got = functionals(prof, params)
+            want = at_scale(gs.report, params, lam)
+            for name in ("mass", "grad", "lp", "lq"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-13, abs=0.0)
 
     def test_hypothesis_violations_named(self, gs1, params1):
         rep = functionals(gaussian_profile(width=0.2), params1)
