@@ -39,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .params import (
-    ComplexField, MembershipError, Params, PeriodicGrid, ResolutionError)
-from .functionals import _check_resolved, raw_norms, report_from_norms
+from .params import ComplexField, MembershipError, Params, PeriodicGrid
+from .functionals import raw_norms, report_from_norms
 from .groundstate import GroundStateResult
 
 #: Floor of the adaptive step size.
@@ -203,14 +202,10 @@ def _prolong(u: np.ndarray, n: int) -> np.ndarray:
 
 def _start(u0: ComplexField, params: Params) -> PeriodicGrid:
     """The coarsest grid m/2^k, m/2^k even, whose samples u0.values[::2^k]
-    pass ``_check_resolved`` and keep the spectral tail <= REFINE_TAIL."""
+    keep the spectral tail <= REFINE_TAIL."""
     grid = u0.grid
     while grid.m % 4 == 0:
         v = u0.values[::2 * u0.grid.m // grid.m]
-        try:
-            _check_resolved(v)
-        except ResolutionError:
-            break
         coarse = PeriodicGrid(grid.length, v.size)
         if _SpectralStepper(coarse, params, v).monitors(v)[1] > REFINE_TAIL:
             break

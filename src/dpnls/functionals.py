@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
+from scipy.special import bernoulli
 
 from .params import (
     ComplexField,
@@ -37,15 +38,21 @@ def sphere_area(N: int) -> float:
 def radial_rule(grid: RadialGrid, N: int):
     """The quadrature samples -> sigma_N * trapezoid of samples * r^{N-1}
     over [0, rmax]; sigma_N and r^{N-1} are computed once per rule.  At
-    N = 2 the integrand f = r g(r) of an even g has f'(0) = g(0) and
-    f^(3)(0) = 3 g''(0) ~ 6 (g(h) - g(0)) / h^2, so the rule adds the
-    Euler-Maclaurin end terms h^2/12 f'(0) - h^4/720 f^(3)(0), which is
-    h^2/120 (11 g(0) - g(h)).  At odd N f is even and has none; at N = 4
-    the rule omits the h^4 term of f^(3)(0) = 6 g(0)."""
-    sigma, weight, dx = sphere_area(N), grid.r ** (N - 1), grid.spacing
-    end = dx ** 2 / 120.0 if N == 2 else 0.0
-    return lambda samples: sigma * (float(np.trapezoid(samples * weight, dx=dx))
-                                    + end * float(11.0 * samples[0] - samples[1]))
+    even N the integrand f = r^{N-1} g(r) of an even g has
+    f^(N-1)(0) = (N-1)! g(0) and f^(N+1)(0) = (N+1)!/2 g''(0), with
+    g''(0)/2 ~ (g(h) - g(0)) / h^2, so the rule adds the Euler-Maclaurin
+    end terms h^N (B_N/N g(0) + B_{N+2}/(N+2) (g(h) - g(0))), B_k the
+    Bernoulli numbers; at N = 2 that is h^2/120 (11 g(0) - g(h)).  At odd N
+    f is even and has none."""
+    sigma, weight, dx = sphere_area(N), grid.r ** (N - 1), float(grid.spacing)
+    if N % 2:
+        return lambda samples: sigma * float(np.trapezoid(samples * weight, dx=dx))
+    bern = bernoulli(N + 2)
+    c0 = float(dx ** N * bern[N] / N)
+    c1 = float(dx ** N * bern[N + 2] / (N + 2))
+    return lambda samples: sigma * (
+        float(np.trapezoid(samples * weight, dx=dx))
+        + float(c0 * samples[0] + c1 * (samples[1] - samples[0])))
 
 
 @dataclass(frozen=True)

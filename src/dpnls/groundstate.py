@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ode, quad, solve_bvp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .params import (
@@ -34,18 +34,9 @@ from .functionals import FunctionalReport, functionals, report_from_norms
 TAIL_FRACTION = 1e-10
 #: Relative tolerance for certifying |K| and |Q| against the action.
 IDENTITY_RTOL = 1e-6
-#: The polish guess follows the shooting trajectory down to this fraction of
-#: the amplitude and continues it with the asymptotic tail beyond.
-SPLICE_LEVEL = 1e-6
-#: Relative width of the amplitude bracket at which bisection stops.  A
-#: trajectory from the bracket midpoint, at most half the width off the
-#: separatrix, departs from it like (width/2) e^{√ω r} while the profile
-#: decays like e^{-√ω r}.  At the splice radius e^{√ω r} = 1/SPLICE_LEVEL,
-#: so with this width the departure there equals the splice level.  A shot
-#: may decide before it falls to that level (at N = 1, p = 3, q = 7, ω = 10
-#: it turns at 1.24e-6 of the amplitude); the polish seed then has no
-#: splice cut, and its exponential tail starts at the deciding step.
-BISECTION_WIDTH = 2.0 * SPLICE_LEVEL ** 2
+#: Relative width of the amplitude bracket at which bisection stops: it
+#: sets the 39 halvings of the bracket (s, 2s) and ``SHOT_RTOL``.
+BISECTION_WIDTH = 2e-12
 #: Relative tolerance of every shot: a shot must tell apart amplitudes half
 #: the stop width from the separatrix.
 SHOT_RTOL = BISECTION_WIDTH / 2.0
@@ -238,22 +229,14 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
     x0 = np.linspace(0.0, sw * rmax, 2001)
-    # the shot of the bisected amplitude as initial guess, up to its first
-    # step below SPLICE_LEVEL of the amplitude (still accurate there;
-    # bisection noise takes over further out), then an exponential tail
+    # the shot of the bisected amplitude as initial guess, up to the step
+    # before the one that decides it, where φ >= 0, then an exponential tail
     _, r, y = _shot(params, amplitude, rmax)
-    low = np.nonzero(y[:, 0] < SPLICE_LEVEL * amplitude)[0]
-    if low.size:
-        r, y = r[:low[0] + 1], y[:low[0] + 1]
-    seed = CubicHermiteSpline(r, y, np.array(_radial_rhs(params)(r, y.T)).T)
-    y0 = np.empty((2, x0.size))
-    inside = x0 <= sw * r[-1]
-    y0[:, inside] = seed(x0[inside] / sw).T
-    y0[1, inside] /= sw
-    if not np.all(inside):
-        phi_m = max(float(y[-1, 0]), 1e-300)
-        y0[0, ~inside] = phi_m * np.exp(-(x0[~inside] - sw * r[-1]))
-        y0[1, ~inside] = -y0[0, ~inside]
+    x, phi, dphi = sw * r[:-1], y[:-1, 0], y[:-1, 1] / sw
+    y0 = np.array([np.interp(x0, x, phi), np.interp(x0, x, dphi)])
+    tail = x0 > x[-1]
+    y0[0, tail] = phi[-1] * np.exp(-(x0[tail] - x[-1]))
+    y0[1, tail] = -y0[0, tail]
     res = solve_bvp(rhs, bc, x0, y0, S=S, tol=POLISH_TOL,
                     max_nodes=60000, verbose=0)
     if not res.success:
@@ -305,7 +288,8 @@ def solve_ground_state(params: Params,
             rmax *= 1.5
             grid = RadialGrid(rmax, int(grid.n * 1.5))
         sol, nodes = _bvp_polish(params, amp, rmax)
-        tail = abs(sol(rmax)[0]) / sol(0.0)[0]
+        phi, dphi = sol(grid.r)
+        tail = abs(phi[-1]) / phi[0]
         if tail < TAIL_FRACTION:
             break
     else:
@@ -314,17 +298,13 @@ def solve_ground_state(params: Params,
             f"{tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) after "
             f"{extension} domain extensions")
 
-    r = grid.r
-    y = sol(r)
-    phi, dphi = y[0], y[1]
-    # truncate to the positive, decreasing part above the decay floor
+    # truncate to the positive, decreasing part above the decay floor; the
+    # last node is below it
     floor = TAIL_FRACTION * phi[0]
-    bad = np.where((phi <= floor) | (np.diff(phi, prepend=2 * phi[0]) >= 0))[0]
-    cut = int(bad[0]) if bad.size else r.size
-    if cut < r.size:
-        grid = RadialGrid(r[cut - 1], cut)
-        phi, dphi = phi[:cut], dphi[:cut]
-    profile = RadialProfile(grid, phi, dphi)
+    cut = int(np.flatnonzero((phi <= floor)
+                             | (np.diff(phi, prepend=2 * phi[0]) >= 0))[0])
+    grid = RadialGrid(grid.r[cut - 1], cut)
+    profile = RadialProfile(grid, phi[:cut], dphi[:cut])
 
     residual = _equation_residual(sol, params, grid.r)
     if residual > RESIDUAL_TOL:
@@ -335,8 +315,6 @@ def solve_ground_state(params: Params,
     _check_identities(report)
 
     rate = decay_fit(profile, params.omega)
-    if rate <= 0:
-        raise CertificationError("fitted decay rate is not positive")
 
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
                                    extension)

@@ -209,6 +209,25 @@ class TestClassifyCommand:
         assert row["status"] == "ok"
         assert float(row["amplitude"]) == pytest.approx(2.3497, abs=1e-4)
 
+    def test_planar_sweep_writes_plain_cells(self, tmp_path):
+        # the N = 2 quadrature's end term must not turn the functionals,
+        # and with them the criterion, into numpy scalars with their reprs
+        path = write_config(tmp_path / "c.json",
+                            params={"N": 2, "a": 1.0, "b": 1.0, "p": 2.0,
+                                    "q": 4.0, "omega": 1.0},
+                            sweeps={"omegas": [0.3, 1.0]})
+        out = tmp_path / "out"
+        assert run("classify", "--config", path, "--out", out,
+                   "--no-timestamp") == 0
+        with open(out / "classify.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row.pop("status") == "ok"
+            assert row.pop("criterion_met") in ("true", "false")
+            for cell in row.values():
+                float(cell)
+
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert run("classify", "--config", path, "--out", tmp_path / "o") == 2

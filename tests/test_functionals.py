@@ -55,6 +55,20 @@ class TestQuadrature:
         assert radial_rule(grid, 2)(np.exp(-grid.r ** 2)) == pytest.approx(
             np.pi, rel=5e-8)
 
+    def test_four_dimensional_gaussian_h4_end_term(self):
+        # at N = 4 the integrand r^3 e^{-r^2} has f'''(0) = 6; without its
+        # h^4 end term the rule errs by 1.7e-6 here
+        grid = RadialGrid(8.0, 81)
+        assert radial_rule(grid, 4)(np.exp(-grid.r ** 2)) == pytest.approx(
+            np.pi ** 2, rel=1e-9)
+
+    def test_rule_returns_python_float(self):
+        # an np.float64 would reach the CSV writers as its repr; the grid's
+        # rmax is a numpy float, as in ``default_grid``
+        grid = RadialGrid(np.float64(8.0), 81)
+        for N in (1, 2, 3, 4):
+            assert type(radial_rule(grid, N)(np.exp(-grid.r ** 2))) is float
+
     def test_zero_profile(self):
         grid = RadialGrid(5.0, 101)
         assert radial_rule(grid, 1)(np.zeros(101)) == 0.0

@@ -39,7 +39,6 @@ from dpnls.groundstate import (
     IDENTITY_RTOL,
     RESIDUAL_TOL,
     SHOT_RTOL,
-    SPLICE_LEVEL,
     amplitude_floor,
     decay_fit,
     default_grid,
@@ -264,20 +263,16 @@ class TestShooting:
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 50.0])
     def test_seed_shot_keeps_first_integral(self, omega):
-        # the polish seed is this record up to its first step below the
-        # splice level, or all of it if the shot decides above that level
-        # (at ω = 10 it turns at 1.2e-6 of the amplitude); along it the
-        # line's first integral φ'² = ωφ² - 2a/(p+1) φ^{p+1} - 2b/(q+1)
-        # φ^{q+1} holds
+        # the polish seed is this record up to the step before the deciding
+        # one; along it the line's first integral φ'² = ωφ² - 2a/(p+1)
+        # φ^{p+1} - 2b/(q+1) φ^{q+1} holds
         params = Params(omega=omega, **BASE)
         rmax = default_grid(params).rmax
         amp = groundstate._shoot_amplitude(params, rmax)[0]
         _, r, y = groundstate._shot(params, amp, rmax)
         assert (r[0], y[0, 0], y[0, 1]) == (1e-12, amp, 0.0)
         assert np.all(np.diff(r) > 0)
-        below = np.nonzero(y[:, 0] < SPLICE_LEVEL * amp)[0]
-        cut = below[0] + 1 if below.size else r.size
-        phi, dphi = y[:cut].T
+        phi, dphi = y[:-1].T
         a, b, p, q = params.a, params.b, params.p, params.q
         G = (omega * phi ** 2 - 2 * a / (p + 1) * phi ** (p + 1)
              - 2 * b / (q + 1) * phi ** (q + 1))
@@ -347,6 +342,8 @@ class TestHigherDimension:
         (3, 1.2, 2.5, 0.5),
         # a polish at tol 1e-10 runs out of its 60000 nodes here
         (3, 1.5, 4.5, 1.0),
+        # p < 2 < q < 3; |K|/|S| needs the h^4 end term of the N = 4 rule
+        (4, 1.5, 2.5, 1.0),
     ])
     def test_certified_on_default_grid(self, N, p, q, omega):
         self.assert_certified(solve_ground_state(
