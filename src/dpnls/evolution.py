@@ -14,10 +14,11 @@ therefore evaluates theta once, from the post-linear state w, and reuses
 the closing rotation to open the next step; the rotation is rebuilt from
 the stored theta only when h changes (a dt reduction or the shorter last
 step).  A step costs three transforms: the propagator's forward/inverse
-pair and one forward transform of u_{n+1} that gives both the gradient
-norm and the spectral-tail monitor.  Every monitor reads the full step's
-state u_{n+1}; the amplitude sup|u_{n+1}| = sqrt(max |w|^2) comes from the
-same |w|^2 as theta.
+pair and one forward transform of u_{n+1} in ``functionals._line_spectrum``,
+which gives the gradient norm and the spectral tail to the monitors, the
+trace and the embedding of the data alike.  Every monitor reads the full
+step's state u_{n+1}; the amplitude sup|u_{n+1}| = sqrt(max |w|^2) comes
+from the same |w|^2 as theta.
 
 A run starts on the coarsest grid m/2^k that resolves u0 and doubles m,
 zero-padding the spectrum, whenever the tail passes ``REFINE_TAIL``, up to
@@ -40,7 +41,7 @@ import numpy as np
 import scipy.fft
 
 from .params import ComplexField, MembershipError, Params, PeriodicGrid
-from .functionals import raw_norms, report_from_norms
+from .functionals import _line_spectrum, raw_norms, report_from_norms
 from .groundstate import GroundStateResult
 
 #: Floor of the adaptive step size.
@@ -140,7 +141,6 @@ class _SpectralStepper:
         self.grid = grid
         self.params = params
         self.k2 = grid.wavenumbers ** 2
-        self.band = np.abs(np.fft.fftfreq(grid.m)) >= 7.0 / 16.0
         self._dt = None
         self.rot = np.empty(grid.m, dtype=complex)
         self._phase(u)
@@ -178,15 +178,10 @@ class _SpectralStepper:
         return w, float(np.sqrt(np.max(m2)))
 
     def monitors(self, u: np.ndarray) -> tuple[float, float]:
-        """(||grad u||^2, spectral-tail fraction) from one transform of u."""
-        uh = scipy.fft.fft(u)
-        power = uh.real ** 2 + uh.imag ** 2
-        grad_sq = float(np.sum(self.k2 * power)
-                        * self.grid.length / self.grid.m ** 2)
-        peak = np.max(power)
-        tail = (float(np.sqrt(np.max(power[self.band]) / peak))
-                if peak > 0 else 0.0)
-        return grad_sq, tail
+        """(||grad u||^2, spectral-tail fraction) of u on the stepper's grid
+        by ``functionals._line_spectrum``, which also gives the trace's
+        gradient norm and the resolution rule of ``stability._embed``."""
+        return _line_spectrum(u, self.grid)
 
 
 def _prolong(u: np.ndarray, n: int) -> np.ndarray:
@@ -200,14 +195,14 @@ def _prolong(u: np.ndarray, n: int) -> np.ndarray:
     return n / u.size * scipy.fft.ifft(wide, overwrite_x=True)
 
 
-def _start(u0: ComplexField, params: Params) -> PeriodicGrid:
+def _start(u0: ComplexField) -> PeriodicGrid:
     """The coarsest grid m/2^k, m/2^k even, whose samples u0.values[::2^k]
-    keep the spectral tail <= REFINE_TAIL."""
+    keep the spectral tail of ``functionals._line_spectrum`` <= REFINE_TAIL."""
     grid = u0.grid
     while grid.m % 4 == 0:
-        v = u0.values[::2 * u0.grid.m // grid.m]
-        coarse = PeriodicGrid(grid.length, v.size)
-        if _SpectralStepper(coarse, params, v).monitors(v)[1] > REFINE_TAIL:
+        coarse = PeriodicGrid(grid.length, grid.m // 2)
+        v = u0.values[::u0.grid.m // coarse.m]
+        if _line_spectrum(v, coarse)[1] > REFINE_TAIL:
             break
         grid = coarse
     return grid
@@ -216,7 +211,7 @@ def _start(u0: ComplexField, params: Params) -> PeriodicGrid:
 def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerdict:
     """Advance the NLS from u0, recording a trace and watching for blowup;
     the run refines its grid up to u0's, where ``final`` lies."""
-    grid = _start(u0, params)
+    grid = _start(u0)
     u = np.array(u0.values[::u0.grid.m // grid.m], dtype=complex)
     stepper = _SpectralStepper(grid, params, u)
     grids = [(grid.m, 0)]
@@ -224,11 +219,12 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
     dt = cfg.dt
     step = reductions = 0
     trace = [_record(t, u, stepper.grid, params)]
-    grad0 = max(np.sqrt(trace[0].grad_norm_sq), 1e-300)
+    grad_sq, tail = stepper.monitors(u)
+    grad0 = max(np.sqrt(grad_sq), 1e-300)
     amp = trace[0].sup_amp
     amp0 = max(amp, 1e-300)
 
-    reason = "resolution" if stepper.monitors(u)[1] > MAX_TAIL_FRACTION else None
+    reason = "resolution" if tail > MAX_TAIL_FRACTION else None
     while reason is None and t < cfg.t_max - 1e-12:
         if step == MAX_STEPS:
             reason = "budget"

@@ -344,11 +344,11 @@ def decay_fit(profile: RadialProfile, omega: float) -> float:
     window = slice(max(0, n - max(n // 5, 3)), n)
     vals = profile.values[window]
     if np.any(vals <= 0):
-        raise TailError("nonpositive values in the tail window")
+        raise TailError(f"nonpositive tail window, smallest {np.min(vals):.3g}")
     r = profile.grid.r[window]
     slope = np.polyfit(r, np.log(vals), 1)[0]
     if slope >= 0:
-        raise TailError("tail window is not decaying")
+        raise TailError(f"tail window is not decaying: log-slope {slope:.3g} >= 0")
     return float(-slope)
 
 

@@ -172,11 +172,12 @@ def check_hypotheses(report: FunctionalReport, gs: GroundStateResult) -> None:
     if report.mass <= 0:
         raise PreconditionError("v = 0")
     if report.mass > gs.report.mass * (1 + 1e-12):
-        raise PreconditionError("mass(v) > mass(phi)")
+        ratio = report.mass / gs.report.mass
+        raise PreconditionError(f"mass(v)/mass(phi) = {ratio:.15g} > 1 + 1e-12")
     if report.nehari > 0:
-        raise PreconditionError("K(v) > 0")
+        raise PreconditionError(f"K(v) > 0: K(v) = {report.nehari:.6g}")
     if report.virial > 0:
-        raise PreconditionError("Q(v) > 0")
+        raise PreconditionError(f"Q(v) > 0: Q(v) = {report.virial:.6g}")
 
 
 def key_estimate_check(report: FunctionalReport,

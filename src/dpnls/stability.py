@@ -23,13 +23,15 @@ from .params import (
     Params,
     PeriodicGrid,
     PreconditionError,
+    ResolutionError,
 )
-from .functionals import FunctionalReport, _check_resolved, functionals
+from .functionals import FunctionalReport, _line_spectrum, functionals
 from .groundstate import (
     GroundStateResult, SolveDiagnostics, _check_identities, solve_ground_state)
 from .evolution import (
-    BlowupVerdict, EvolutionConfig, b_omega_invariance_audit, concavity_audit,
-    conservation_drift, evolve, in_blowup_set, uniform_prefix, virial_check)
+    MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig, b_omega_invariance_audit,
+    concavity_audit, conservation_drift, evolve, in_blowup_set, uniform_prefix,
+    virial_check)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
@@ -95,12 +97,17 @@ def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
 
 def _embed(gs: GroundStateResult, lam: float,
            grid: PeriodicGrid) -> ComplexField:
-    """phi^lambda on the line by even reflection, checked for resolution."""
+    """phi^lambda on the line by even reflection; ResolutionError when its
+    spectral tail passes MAX_TAIL_FRACTION, where ``evolve`` stops a run."""
     if gs.params.N != 1:
         raise PreconditionError("line embedding is defined for N = 1 profiles")
     vals = gs.resample(lam * np.abs(grid.x))
     u = np.sqrt(lam) * vals.astype(complex)
-    _check_resolved(u)
+    tail = _line_spectrum(u, grid)[1]
+    if tail > MAX_TAIL_FRACTION:
+        raise ResolutionError(
+            f"phi^lambda at lambda = {lam:g} on {grid.m} nodes has spectral "
+            f"tail {tail:.3g}, above MAX_TAIL_FRACTION = {MAX_TAIL_FRACTION:g}")
     return ComplexField(grid, u)
 
 
@@ -108,7 +115,7 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
                      grid: PeriodicGrid) -> ComplexField:
     """phi^lambda embedded on the evolution grid by even reflection (N = 1).
 
-    Verifies blowup-set membership of the embedded state before returning.
+    Verifies resolution and then blowup-set membership before returning.
     """
     if lam <= 1.0:
         raise PreconditionError("lambda must exceed 1")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpnls.params import ComplexField, MembershipError, Params, PeriodicGrid
-from dpnls.functionals import functionals
+from dpnls.functionals import _line_spectrum, functionals
 from dpnls.stability import _embed, make_scaled_data
 from dpnls import evolution
 from dpnls.evolution import (
@@ -106,6 +106,37 @@ class TestBasics:
         assert verdict.t_detect == pytest.approx(7e-3)
         assert [rec.t for rec in verdict.trace] == pytest.approx(
             [0.0, 5e-3, 7e-3])
+
+
+class TestSpectralMonitor:
+    @pytest.mark.parametrize("m", [5, 8, 10, 17, 512, 65536])
+    def test_tail_band_is_the_upper_sixteenth(self, m):
+        # a spike of power 1/4 beside the peak at k = 0 shows in the tail
+        # exactly when its index lies in the band |k| >= 7/16 of the
+        # sampling rate (empty at m = 5); the band is one slice, so on the
+        # largest grid its edges and the Nyquist mode settle the whole band
+        band = np.abs(np.fft.fftfreq(m)) >= 7.0 / 16.0
+        edges = np.flatnonzero(np.diff(band)) + np.array([[-1], [0], [1], [2]])
+        indices = range(m) if m <= 512 else sorted(
+            {*edges.ravel().tolist(), m // 2})
+        grid = PeriodicGrid(1.0, m)
+        for j in indices:
+            spec = np.zeros(m, dtype=complex)
+            spec[0] += 1.0
+            spec[j] += 0.5
+            tail = _line_spectrum(np.fft.ifft(spec), grid)[1]
+            assert (tail > 0.25) == band[j], (m, j, tail)
+
+    def test_trace_and_monitor_read_one_gradient_norm(self, gs1):
+        grid = PeriodicGrid(32.0, 65536)
+        u0 = make_scaled_data(gs1, 1.2, grid)
+        verdict = evolve(u0, gs1.params,
+                         EvolutionConfig(dt=1e-3, t_max=1e-3))
+        ((m0, _),) = verdict.grids
+        start = PeriodicGrid(grid.length, m0)
+        u = np.array(u0.values[::grid.m // m0], dtype=complex)
+        stepper = evolution._SpectralStepper(start, gs1.params, u)
+        assert verdict.trace[0].grad_norm_sq == stepper.monitors(u)[0]
 
 
 class TestProlongation:

@@ -9,6 +9,8 @@ Hand-checked values at (alpha, beta) = (1, 3), lambda = 1/2:
 and h, g2, g3 all vanish at lambda = 1 by construction.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from dpnls import lemma_lab
 from dpnls.lemma_lab import (
     ExponentPair,
     aim_inequality_margin,
+    check_hypotheses,
     find_lambda0,
     g1_fn,
     g2_fn,
@@ -215,8 +218,22 @@ class TestKeyEstimate:
 
     def test_hypothesis_violations_named(self, gs1, params1):
         rep = functionals(gaussian_profile(width=0.2), params1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"K(v) > 0: K(v) = {rep.nehari:.6g}")):
             key_estimate_check(rep, gs1)
+
+    def test_hypothesis_messages_state_value_and_limit(self, gs1, params1):
+        mass = gs1.report.mass
+        heavy = report_from_norms(2.0 * mass, 1.0, 1.0, 1.0, params1)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "mass(v)/mass(phi) = 2 > 1 + 1e-12")):
+            check_hypotheses(heavy, gs1)
+        # K = grad + omega mass - lp - lq < 0 while Q = grad - lp/4 > 0
+        wide = report_from_norms(0.5 * mass, 10.0, 20.0, 0.0, params1)
+        assert wide.nehari < 0
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"Q(v) > 0: Q(v) = {wide.virial:.6g}")):
+            check_hypotheses(wide, gs1)
 
     def test_audit_short_of_samples_fails(self, gs1, monkeypatch):
         # fewer kept states than requested is not a pass, even with no

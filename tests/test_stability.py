@@ -151,7 +151,7 @@ class TestScaledData:
         assert dists[0] > dists[1] > dists[2] > 0
 
     def test_under_resolved_grid_rejected(self, gs1):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError, match="spectral tail"):
             make_scaled_data(gs1, 50.0, PeriodicGrid(40.0, 256))
 
     def test_membership_error_when_not_in_set(self, gs_half):
@@ -191,6 +191,16 @@ class TestBlowupSweep:
             assert row == want_row
             assert verdict.trace == want.trace
             assert np.array_equal(verdict.final.values, want.final.values)
+
+    def test_under_resolved_embedding_is_an_error_row(self, gs1):
+        # phi^2 on 512 nodes has a spectral tail of about 1.4e-8: the bound
+        # that would stop the run at t = 0 rejects the data, so the row is
+        # an error that names the cause, not a run with no steps
+        ((row, verdict),) = blowup_sweep(gs1, [2.0], PeriodicGrid(32.0, 512),
+                                         EvolutionConfig(dt=1e-3, t_max=1.0))
+        assert row["status"].startswith("error: ")
+        assert "spectral tail" in row["status"]
+        assert verdict is None
 
     def test_error_becomes_row(self, monkeypatch):
         def run(lam):
