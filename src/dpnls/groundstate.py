@@ -84,12 +84,16 @@ class GroundStateResult:
         return np.where((r >= 0.0) & (r <= grid.rmax), phi, 0.0)
 
 
-def _force(phi, params: Params):
-    """a|φ|^{p-1}φ + b|φ|^{q-1}φ - ωφ (sign-safe for negative excursions)."""
-    m = np.abs(phi)
-    return (params.a * m ** (params.p - 1) * phi
-            + params.b * m ** (params.q - 1) * phi
-            - params.omega * phi)
+def _forcing(params: Params):
+    """a|φ|^{p-1}φ + b|φ|^{q-1}φ - ωφ with the coefficients read once: the one
+    formula of the force, sign-safe; builtin ``abs`` takes floats and arrays."""
+    a, b, pm, qm, w = params.a, params.b, params.p - 1, params.q - 1, params.omega
+
+    def force(phi):
+        m = abs(phi)
+        return a * m ** pm * phi + b * m ** qm * phi - w * phi
+
+    return force
 
 
 def amplitude_floor(params: Params) -> float:
@@ -98,21 +102,30 @@ def amplitude_floor(params: Params) -> float:
     constant solution, so the ground state's amplitude lies above s0."""
     f = lambda s: params.omega - params.a * s ** (params.p - 1) \
         - params.b * s ** (params.q - 1)
+    hi = _doubled_past_zero(f, "the potential force", params.omega)
+    return brentq(f, 1e-12, hi, xtol=1e-12)
+
+
+def _doubled_past_zero(f, what: str, omega: float) -> float:
+    """The first s = 2^k >= 1 with f(s) <= 0, a root bracket's upper end."""
     hi = 1.0
     while f(hi) > 0:
         hi *= 2.0
         if hi > 1e8:
-            raise NoBracketError("no positive zero of the potential force")
-    return brentq(f, 1e-12, hi, xtol=1e-12)
+            raise NoBracketError(
+                f"no positive zero of {what} at ω = {omega:g}: it is "
+                f"{f(hi / 2):.3g} > 0 at s = {hi / 2:g}, the last s below 1e8")
+    return hi
 
 
 def _radial_rhs(params: Params):
     """(φ, φ') ↦ (φ', φ'') of the radial equation, the one right-hand side
-    of every shot."""
+    of every shot; it reads the ndarray y as two Python floats."""
+    force, k = _forcing(params), params.N - 1
 
     def rhs(r, y):
-        phi, dphi = y
-        return [dphi, -(params.N - 1) / r * dphi - _force(phi, params)]
+        phi, dphi = y.tolist()
+        return [dphi, -k / r * dphi - force(phi)]
 
     return rhs
 
@@ -215,10 +228,10 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
     -force(u)/ω and the Robin condition is u_ξ + u = 0, so its scale does
     not change with ω.  Returns the solution read in r and the mesh size.
     """
-    sw = np.sqrt(params.omega)
+    sw, force = np.sqrt(params.omega), _forcing(params)
 
     def rhs(x, y):
-        return np.vstack([y[1], -_force(y[0], params) / params.omega])
+        return np.vstack([y[1], -force(y[0]) / params.omega])
 
     def bc(ya, yb):
         return np.array([ya[1], yb[1] + yb[0]])
@@ -249,13 +262,10 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
 def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
     """Sup-norm of the stationary equation on interior nodes via the
     collocation interpolant's r-derivatives."""
-    y = sol(r)
-    dy = sol(r, 1)
-    phi, dphi = y[0], y[1]
-    d2phi = dy[1]
-    ri = r[1:-1]
-    res = -d2phi[1:-1] - (params.N - 1) / ri * dphi[1:-1] - _force(phi[1:-1], params)
-    res0 = -params.N * d2phi[0] - _force(phi[0], params)
+    (phi, dphi), d2phi = sol(r), sol(r, 1)[1]
+    ri, force = r[1:-1], _forcing(params)
+    res = -d2phi[1:-1] - (params.N - 1) / ri * dphi[1:-1] - force(phi[1:-1])
+    res0 = -params.N * d2phi[0] - force(phi[0])
     return float(max(np.max(np.abs(res)), abs(res0)))
 
 
@@ -326,15 +336,15 @@ def residual_norm(profile: RadialProfile, params: Params) -> float:
     """Finite-difference sup-norm of the stationary equation residual."""
     g = profile.grid
     if g.n < 5:
-        raise ValueError("need at least 5 nodes")
+        raise ValueError(f"need at least 5 nodes, got {g.n}")
     phi = profile.values
     h = g.spacing
     d2 = (phi[:-2] - 2 * phi[1:-1] + phi[2:]) / h ** 2
     d1 = (phi[2:] - phi[:-2]) / (2 * h)
-    ri = g.r[1:-1]
-    res = -d2 - (params.N - 1) / ri * d1 - _force(phi[1:-1], params)
+    ri, force = g.r[1:-1], _forcing(params)
+    res = -d2 - (params.N - 1) / ri * d1 - force(phi[1:-1])
     d2_0 = 2.0 * (phi[1] - phi[0]) / h ** 2   # φ'(0) = 0 ghost node
-    res0 = -params.N * d2_0 - _force(phi[0], params)
+    res0 = -params.N * d2_0 - force(phi[0])
     return float(max(np.max(np.abs(res)), abs(res0)))
 
 
@@ -358,11 +368,7 @@ def first_integral_amplitude(params: Params) -> float:
         raise ValueError("first integral closes only in one dimension")
     a, b, p, q, w = params.a, params.b, params.p, params.q, params.omega
     f = lambda s: w - 2 * a / (p + 1) * s ** (p - 1) - 2 * b / (q + 1) * s ** (q - 1)
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoBracketError("no positive zero of the first integral")
+    hi = _doubled_past_zero(f, "the first integral", w)
     return float(brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16))
 
 

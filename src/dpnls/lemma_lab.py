@@ -71,7 +71,8 @@ def _check_lam(lam, open_right=False):
     lam = np.asarray(lam, dtype=float)
     hi_ok = np.all(lam < 1.0) if open_right else np.all(lam <= 1.0)
     if np.any(lam <= 0.0) or not hi_ok:
-        raise ValueError("lambda out of range")
+        raise ValueError(f"lambda must lie in (0, 1{')' if open_right else ']'}, got "
+                         f"smallest {float(np.min(lam))!r}, largest {float(np.max(lam))!r}")
     return lam
 
 
@@ -103,7 +104,8 @@ def g1_fn(lam, ep: ExponentPair):
     al, be = ep.alpha, ep.beta
     u, w = _aim_factors(lam, al, be)
     if np.any(np.abs(w) < 1e-14):
-        raise ZeroDivisionError("g1 denominator too close to zero")
+        raise ZeroDivisionError("g1 denominator too close to zero: smallest "
+                                f"|w| = {np.min(np.abs(w)):.3g} < 1e-14")
     c = al * be + 4 - 2 * al - al * be * lam ** (2 - al)
     term1 = al * u * c / (w * lam ** (be - al))
     return term1 - be * (2 * be - al * be - 4) - al * be ** 2 / lam ** (be - 2)
@@ -154,7 +156,7 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
     if report.mass <= 0:
         raise ValueError("zero state has no Nehari crossing")
     if report.nehari > 0:
-        raise PreconditionError("K(v) must be <= 0")
+        raise PreconditionError(f"K(v) must be <= 0, got {report.nehari:.6g}")
     if report.nehari == 0.0:
         return 1.0
     k = lambda lam: float(at_scale(report, params, lam).nehari)
@@ -162,7 +164,8 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
     while k(lo) <= 0:
         lo *= 0.5
         if lo < 1e-12:
-            raise PreconditionError("no sign change of K on (0, 1)")
+            raise PreconditionError(f"no sign change of K on (0, 1): K = {k(2 * lo):.3g}"
+                                    f" <= 0 at lambda = {2 * lo:.3g}, the last above 1e-12")
     lam0 = brentq(k, lo, 1.0, xtol=1e-14, rtol=8.9e-16)
     return float(lam0)
 

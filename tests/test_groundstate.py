@@ -12,13 +12,14 @@ equation the first integral at the origin pins the amplitude to machine
 precision, and the Nehari / virial certificates are checked directly.
 """
 
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from dpnls import groundstate
@@ -117,7 +118,11 @@ class TestFirstIntegralReport:
         # amplitude, so the doubling search must stop at its cap
         params = Params.relaxed(N=1, a=-1.0, b=-1.0, p=3.0, q=7.0,
                                 omega=1.0)
-        with pytest.raises(NoBracketError, match="first integral"):
+        s = 2.0 ** 26   # the last doubling of 1 below the 1e8 cap
+        f = 1.0 + 2.0 / 4.0 * s ** 2 + 2.0 / 8.0 * s ** 6
+        with pytest.raises(NoBracketError, match=re.escape(
+                f"no positive zero of the first integral at ω = 1: it is "
+                f"{f:.3g} > 0 at s = 6.71089e+07, the last s below 1e8")):
             first_integral_amplitude(params)
 
 
@@ -211,6 +216,11 @@ class TestSechOracle:
         prof = gaussian_profile(rmax=20.0, n=2001)
         assert residual_norm(prof, params) > 1e-2
 
+    def test_too_few_nodes_named(self):
+        params = self.params()
+        with pytest.raises(ValueError, match="at least 5 nodes, got 4"):
+            residual_norm(sech_soliton(params, RadialGrid(20.0, 4)), params)
+
 
 class TestShooting:
     def test_classification_monotone(self, params1):
@@ -261,6 +271,69 @@ class TestShooting:
                 assert shoot_classify(params, shot, rmax) == events == side, \
                     (side, delta)
 
+    FORCE_CASES = [(1, 3.0, 7.0), (2, 1.5, 4.0), (3, 1.171, 4.015)]
+
+    @pytest.mark.parametrize("N, p, q", FORCE_CASES)
+    @pytest.mark.parametrize("phi", [-0.3, 1e-9, 0.7, 2.4])
+    def test_force_on_floats_matches_arrays(self, N, p, q, phi):
+        # the one force formula gives the same bits on a Python float (the
+        # shots) as on an ndarray (the polish and the residuals)
+        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.3)
+        force = groundstate._forcing(params)
+        on_float = force(phi)
+        assert type(on_float) is float
+        assert on_float == force(np.array([phi]))[0]
+        r, dphi = 0.37, -0.21
+        got = groundstate._radial_rhs(params)(r, np.array([phi, dphi]))
+        want = -(N - 1) / r * np.array([dphi]) - force(np.array([phi]))
+        assert [type(v) for v in got] == [float, float]
+        assert got == [dphi, want[0]]
+
+    @staticmethod
+    def numpy_scalar_shot(params, amplitude, rmax):
+        """Reference record (r, y) of ``_shot``: the same DOP853 settings
+        and stopping rule, with the force evaluated in numpy-scalar
+        arithmetic on the unpacked ndarray y."""
+
+        def rhs(r, y):
+            phi, dphi = y
+            m = np.abs(phi)
+            force = (params.a * m ** (params.p - 1) * phi
+                     + params.b * m ** (params.q - 1) * phi
+                     - params.omega * phi)
+            return [dphi, -(params.N - 1) / r * dphi - force]
+
+        steps = []
+
+        def decide(r, y):
+            steps.append((r, y[0], y[1]))
+            return -1 if y[0] < 0.0 or y[1] > 0.0 else 0
+
+        shot = ode(rhs).set_integrator("dop853", rtol=SHOT_RTOL, atol=1e-16,
+                                       nsteps=groundstate.MAX_SHOT_STEPS)
+        shot.set_solout(decide)
+        shot.set_initial_value([amplitude, 0.0], 1e-12)
+        shot.integrate(rmax)
+        record = np.array(steps)
+        return record[:, 0], record[:, 1:]
+
+    @pytest.mark.parametrize("N, p, q", FORCE_CASES)
+    def test_shot_record_matches_numpy_scalar_reference(self, N, p, q):
+        # the float shot must reproduce every accepted step of the numpy
+        # scalar one bit for bit, on both sides of the separatrix; a change
+        # of the force's operation order moves the last bits and fails here
+        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
+        rmax = default_grid(params).rmax
+        amp = groundstate._shoot_amplitude(params, rmax)[0]
+        for side in (-1, 1):
+            shot = amp * (1 + side * 1e-11)
+            verdict, r, y = groundstate._shot(params, shot, rmax)
+            ref_r, ref_y = self.numpy_scalar_shot(params, shot, rmax)
+            assert verdict == side
+            assert r.size > 10
+            np.testing.assert_array_equal(r, ref_r)
+            np.testing.assert_array_equal(y, ref_y)
+
     @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 50.0])
     def test_seed_shot_keeps_first_integral(self, omega):
         # the polish seed is this record up to the step before the deciding
@@ -292,7 +365,12 @@ class TestShooting:
         params = Params.relaxed(
             N=1, a=-1.0, b=-1.0, p=3.0, q=7.0, omega=1.0
         )
-        with pytest.raises(NoBracketError):
+        # ω - a s^2 - b s^6 at the last doubling of 1 below the 1e8 cap
+        s = 2.0 ** 26
+        f = 1.0 + s ** 2 + s ** 6
+        with pytest.raises(NoBracketError, match=re.escape(
+                f"no positive zero of the potential force at ω = 1: it is "
+                f"{f:.3g} > 0 at s = 6.71089e+07, the last s below 1e8")):
             find_bracket(params, 10.0)
 
 

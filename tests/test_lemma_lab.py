@@ -70,6 +70,27 @@ class TestScalarFunctions:
             with pytest.raises(ValueError):
                 fn(1.5, EP13)
 
+    def test_domain_messages_name_the_extremes(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "lambda must lie in (0, 1], got smallest 0.0, largest 0.5")):
+            h_fn(np.array([0.5, 0.0]), EP13)
+        with pytest.raises(ValueError, match=re.escape(
+                "lambda must lie in (0, 1], got smallest 0.2, largest 1.5")):
+            g2_fn(np.array([0.2, 1.5]), EP13)
+        with pytest.raises(ValueError, match=re.escape(
+                "lambda must lie in (0, 1), got smallest 0.25, largest 1.0")):
+            g1_fn(np.array([0.25, 1.0]), EP13)
+
+    def test_g1_denominator_gate_states_the_value(self):
+        # the denominator vanishes to second order at lambda = 1, so a
+        # distance 1e-8 leaves it near 1e-16, under the 1e-14 gate
+        lam = 1.0 - 1e-8
+        w = lemma_lab._aim_factors(lam, EP13.alpha, EP13.beta)[1]
+        assert abs(w) < 1e-14
+        with pytest.raises(ZeroDivisionError, match=re.escape(
+                f"smallest |w| = {abs(w):.3g} < 1e-14")):
+            g1_fn(np.array([0.5, lam]), EP13)
+
     def test_exponent_pair_validation(self):
         with pytest.raises(ValueError):
             ExponentPair(2.5, 3.0)
@@ -132,8 +153,22 @@ class TestLambdaZero:
         prof = gaussian_profile(width=0.2)
         rep = functionals(prof, params1)
         assert rep.nehari > 0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"K(v) must be <= 0, got {rep.nehari:.6g}")):
             find_lambda0(rep, params1)
+
+    def test_no_crossing_names_the_last_lambda(self):
+        # with omega near 0 and no gradient, K(v^lam) = omega mass
+        # - lam lp - lam^3 lq stays negative down to the 1e-12 floor
+        params = Params(N=1, a=1.0, b=1.0, p=3.0, q=7.0, omega=1e-30)
+        rep = report_from_norms(1.0, 0.0, 1.0, 1.0, params)
+        lam = 2.0 ** -39    # the last halving of 1/2 above 1e-12
+        k = at_scale(rep, params, lam).nehari
+        assert k < 0
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"no sign change of K on (0, 1): K = {k:.3g} <= 0 at "
+                f"lambda = {lam:.3g}, the last above 1e-12")):
+            find_lambda0(rep, params)
 
 
 class TestFCurve:
