@@ -68,6 +68,9 @@ INVARIANCE_DRIFT = 1e-6
 MASS_BAND = 1e-6
 #: Relative slack of the variance-curvature bound in ``concavity_audit``.
 CONCAVITY_SLACK = 1e-2
+#: Fewest uniformly spaced trace records on which ``stability.blowup_run``
+#: runs the concavity and virial audits, which read variance curvature.
+AUDIT_MIN_RECORDS = 5
 
 
 def in_blowup_set(checks: tuple[float, float, float, float],
@@ -134,8 +137,7 @@ def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
 
 
 class _SpectralStepper:
-    """The Strang step N(h) L(2h) N(h) with one theta per step, and the
-    monitors of the stepped state."""
+    """The Strang step N(h) L(2h) N(h) with one theta per step."""
 
     def __init__(self, grid: PeriodicGrid, params: Params, u: np.ndarray):
         self.grid = grid
@@ -177,12 +179,6 @@ class _SpectralStepper:
         w *= self._rotation(h)
         return w, float(np.sqrt(np.max(m2)))
 
-    def monitors(self, u: np.ndarray) -> tuple[float, float]:
-        """(||grad u||^2, spectral-tail fraction) of u on the stepper's grid
-        by ``functionals._line_spectrum``, which also gives the trace's
-        gradient norm and the resolution rule of ``stability._embed``."""
-        return _line_spectrum(u, self.grid)
-
 
 def _prolong(u: np.ndarray, n: int) -> np.ndarray:
     """u on n > u.size nodes: the spectrum zero-padded, its Nyquist mode
@@ -219,7 +215,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
     dt = cfg.dt
     step = reductions = 0
     trace = [_record(t, u, stepper.grid, params)]
-    grad_sq, tail = stepper.monitors(u)
+    grad_sq, tail = _line_spectrum(u, stepper.grid)
     grad0 = max(np.sqrt(grad_sq), 1e-300)
     amp = trace[0].sup_amp
     amp0 = max(amp, 1e-300)
@@ -234,7 +230,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         u, amp = stepper.step(u, dt_eff)
         t += dt_eff
         step += 1
-        grad_sq, tail = stepper.monitors(u)
+        grad_sq, tail = _line_spectrum(u, stepper.grid)
 
         # a non-finite sample of u makes every Fourier coefficient non-finite
         if not (np.isfinite(amp) and np.isfinite(grad_sq)):
@@ -248,7 +244,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
             stepper = _SpectralStepper(
                 PeriodicGrid(u0.grid.length, u.size), params, u)
             grids.append((u.size, step))
-            grad_sq, tail = stepper.monitors(u)
+            grad_sq, tail = _line_spectrum(u, stepper.grid)
 
         if step % cfg.record_every == 0:
             trace.append(_record(t, u, stepper.grid, params))
@@ -317,7 +313,7 @@ def _variance_series(trace: list[TraceRecord],
 
 def _variance_d2(trace: list[TraceRecord]) -> np.ndarray:
     """d^2/dt^2 of the variance by central second differences."""
-    dt, var = _variance_series(trace, 5)
+    dt, var = _variance_series(trace, AUDIT_MIN_RECORDS)
     return (var[:-2] - 2 * var[1:-1] + var[2:]) / dt ** 2
 
 

@@ -133,7 +133,8 @@ def at_scale(report: FunctionalReport, params: Params, lam) -> FunctionalReport:
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
-        raise ValueError("lambda must be positive")
+        raise ValueError(f"lambda must be positive, got smallest "
+                         f"{float(np.min(lam))!r}")
     return report_from_norms(report.mass, lam ** 2 * report.grad,
                              lam ** params.alpha * report.lp,
                              lam ** params.beta * report.lq, params)

@@ -2,9 +2,9 @@
 
 The solver shoots on the central amplitude φ(0) with bisection (overshoot =
 the trajectory crosses zero, undershoot = φ' turns positive at positive φ),
-then polishes the trajectory with a collocation BVP using the asymptotic
-Robin condition φ' + sqrt(ω) φ = 0 at the truncation radius, solved in
-ξ = sqrt(ω) r so that its scale does not depend on ω.  Accepted
+then polishes the record of its last shot with a collocation BVP using the
+asymptotic Robin condition φ' + sqrt(ω) φ = 0 at the truncation radius,
+solved in ξ = sqrt(ω) r so that its scale does not depend on ω.  Accepted
 states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 """
 
@@ -107,7 +107,11 @@ def amplitude_floor(params: Params) -> float:
 
 
 def _doubled_past_zero(f, what: str, omega: float) -> float:
-    """The first s = 2^k >= 1 with f(s) <= 0, a root bracket's upper end."""
+    """Upper end s = 2^k >= 1 of f's root bracket (1e-12, s); f(1e-12) > 0."""
+    if (low := f(1e-12)) <= 0:
+        raise NoBracketError(
+            f"no positive zero of {what} above s = 1e-12 at ω = {omega:g}: "
+            f"it is already {low:.3g} <= 0 there")
     hi = 1.0
     while f(hi) > 0:
         hi *= 2.0
@@ -130,7 +134,7 @@ def _radial_rhs(params: Params):
     return rhs
 
 
-def _shot(params: Params, amplitude: float, rmax: float):
+def shoot_classify(params: Params, amplitude: float, rmax: float):
     """(verdict, r, y): one DOP853 shot from φ(0) = amplitude, φ'(0) = 0
     towards rmax, with its accepted steps r and (φ, φ') at each.
 
@@ -170,13 +174,6 @@ def _shot(params: Params, amplitude: float, rmax: float):
     return verdict, record[:, 0], record[:, 1:]
 
 
-def shoot_classify(params: Params, amplitude: float, rmax: float) -> int:
-    """+1 if the trajectory crosses zero (amplitude too large), -1 if it
-    turns back up at positive value (too small), 0 if neither happens
-    before rmax."""
-    return _shot(params, amplitude, rmax)[0]
-
-
 def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
     """Amplitude bracket (lo undershoots, hi overshoots) and the doublings
     it took: from the floor s0, which undershoots, the amplitude doubles up
@@ -189,24 +186,24 @@ def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
         if hi > 1e8:
             raise NoBracketError(
                 f"no overshoot in amplitudes from {floor:.3g} doubled up to 1e8")
-        if shoot_classify(params, hi, rmax) > 0:
+        if shoot_classify(params, hi, rmax)[0] > 0:
             return lo, hi, doublings
         lo = hi
 
 
 def _shoot_amplitude(params: Params, rmax: float):
-    """(amplitude, bracket, bracket shots, bisection shots)."""
+    """(last shot, bracket, bracket shots, bisection shots): bisection of
+    the bracket down to its stop width, with the record (r, y) of its last
+    shot, which seeds the polish."""
     lo, hi, doublings = find_bracket(params, rmax)
     bracket = (lo, hi)
-    # halvings that take the width below BISECTION_WIDTH * lo <= that * hi
-    halvings = max(0, int(np.ceil(np.log2((hi - lo) / (BISECTION_WIDTH * lo)))))
+    # the bracket is (s, 2s), so 39 halvings reach its stop width
+    halvings = int(np.ceil(-np.log2(BISECTION_WIDTH)))
     for _ in range(halvings):
         mid = 0.5 * (lo + hi)
-        if shoot_classify(params, mid, rmax) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), bracket, doublings, halvings
+        verdict, r, y = shoot_classify(params, mid, rmax)
+        lo, hi = (lo, mid) if verdict > 0 else (mid, hi)
+    return (r, y), bracket, doublings, halvings
 
 
 def _in_r(sol_xi, sw: float):
@@ -221,7 +218,7 @@ def _in_r(sol_xi, sw: float):
     return sol
 
 
-def _bvp_polish(params: Params, amplitude: float, rmax: float):
+def _bvp_polish(params: Params, shot, rmax: float):
     """Collocation solve with φ'(0) = 0 and Robin decay at rmax.
 
     The problem is solved in ξ = √ω r, where u_ξξ + (N-1)/ξ u_ξ =
@@ -242,9 +239,9 @@ def _bvp_polish(params: Params, amplitude: float, rmax: float):
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
     x0 = np.linspace(0.0, sw * rmax, 2001)
-    # the shot of the bisected amplitude as initial guess, up to the step
-    # before the one that decides it, where φ >= 0, then an exponential tail
-    _, r, y = _shot(params, amplitude, rmax)
+    # the shot record (r, y) as initial guess, up to the step before the
+    # one that decides it, where φ >= 0, then an exponential tail
+    r, y = shot
     x, phi, dphi = sw * r[:-1], y[:-1, 0], y[:-1, 1] / sw
     y0 = np.array([np.interp(x0, x, phi), np.interp(x0, x, dphi)])
     tail = x0 > x[-1]
@@ -287,17 +284,18 @@ def default_grid(params: Params) -> RadialGrid:
 
 def solve_ground_state(params: Params,
                        grid: RadialGrid | None = None) -> GroundStateResult:
-    """Shoot + polish + certify a positive decaying ground state."""
+    """Shoot + polish + certify a positive decaying ground state; every
+    domain attempt polishes the same last bisection shot."""
     if grid is None:
         grid = default_grid(params)
     rmax = grid.rmax
-    amp, bracket, bracket_shots, bisection_shots = _shoot_amplitude(params, rmax)
+    shot, bracket, bracket_shots, bisection_shots = _shoot_amplitude(params, rmax)
 
     for extension in range(3):
         if extension:
             rmax *= 1.5
             grid = RadialGrid(rmax, int(grid.n * 1.5))
-        sol, nodes = _bvp_polish(params, amp, rmax)
+        sol, nodes = _bvp_polish(params, shot, rmax)
         phi, dphi = sol(grid.r)
         tail = abs(phi[-1]) / phi[0]
         if tail < TAIL_FRACTION:

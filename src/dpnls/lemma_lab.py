@@ -154,7 +154,8 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
     ``report``, by root-finding on the closed-form lambda-dependence
     (K -> omega * mass > 0 as lambda -> 0)."""
     if report.mass <= 0:
-        raise ValueError("zero state has no Nehari crossing")
+        raise ValueError(f"zero state has no Nehari crossing: mass(v) = "
+                         f"{report.mass:.6g} <= 0")
     if report.nehari > 0:
         raise PreconditionError(f"K(v) must be <= 0, got {report.nehari:.6g}")
     if report.nehari == 0.0:
@@ -173,7 +174,7 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
 def check_hypotheses(report: FunctionalReport, gs: GroundStateResult) -> None:
     """Raise PreconditionError naming the first failing Lemma hypothesis."""
     if report.mass <= 0:
-        raise PreconditionError("v = 0")
+        raise PreconditionError(f"v = 0: mass(v) = {report.mass:.6g} <= 0")
     if report.mass > gs.report.mass * (1 + 1e-12):
         ratio = report.mass / gs.report.mass
         raise PreconditionError(f"mass(v)/mass(phi) = {ratio:.15g} > 1 + 1e-12")

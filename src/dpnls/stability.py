@@ -29,9 +29,9 @@ from .functionals import FunctionalReport, _line_spectrum, functionals
 from .groundstate import (
     GroundStateResult, SolveDiagnostics, _check_identities, solve_ground_state)
 from .evolution import (
-    MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig, b_omega_invariance_audit,
-    concavity_audit, conservation_drift, evolve, in_blowup_set, uniform_prefix,
-    virial_check)
+    AUDIT_MIN_RECORDS, MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig,
+    b_omega_invariance_audit, concavity_audit, conservation_drift, evolve,
+    in_blowup_set, uniform_prefix, virial_check)
 
 #: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
 CRITERION_BAND = 1e-8
@@ -132,16 +132,17 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
     """Evolve phi^lambda from ``grid``, audit the run and sum it up in a row.
 
     Status is "ok" or "inconclusive"; the concavity and virial audits are
-    None when the uniformly recorded prefix of the trace has fewer than 5
-    records.  The row also counts the steps taken and the dt reductions,
-    and gives the smallest dt, the largest relative mass and energy drift
-    before detection, the fraction of the run's time span that the
-    uniform prefix, which the audits see, covers, and the (m, first step)
-    of each grid the run used.  Raises the package's ``ERRORS``.
+    None when the uniformly recorded prefix of the trace has fewer than
+    ``evolution.AUDIT_MIN_RECORDS`` (5) records.  The row also counts the
+    steps taken and the dt reductions, and gives the smallest dt, the
+    largest relative mass and energy drift before detection, the fraction
+    of the run's time span that the uniform prefix, which the audits see,
+    covers, and the (m, first step) of each grid the run used.  Raises the
+    package's ``ERRORS``.
     """
     verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
     uni = uniform_prefix(verdict.trace)
-    audited = len(uni) >= 5
+    audited = len(uni) >= AUDIT_MIN_RECORDS
     mass_drift, energy_drift = conservation_drift(verdict)
     t_end = verdict.trace[-1].t
     row = {

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -163,8 +164,9 @@ def test_report_identities_hold_for_any_norms(mass, grad, lp, lq, omega,
 
 class TestScalingCurve:
     def test_nonpositive_lambda(self, report, params1):
-        for lam in (0.0, [-1.0, 2.0]):
-            with pytest.raises(ValueError):
+        for lam, smallest in ((0.0, "0.0"), ([-1.0, 2.0], "-1.0")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"lambda must be positive, got smallest {smallest}")):
                 at_scale(report, params1, lam)
 
     def test_small_lambda_limit(self, params1):

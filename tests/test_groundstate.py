@@ -87,7 +87,7 @@ class TestAmplitudeOracle:
         floor = amplitude_floor(params1)
         assert floor < gs1.amplitude
         rmax = default_grid(params1).rmax
-        assert shoot_classify(params1, floor * (1 - 1e-3), rmax) == -1
+        assert shoot_classify(params1, floor * (1 - 1e-3), rmax)[0] == -1
 
 
 class TestFirstIntegralReport:
@@ -112,6 +112,16 @@ class TestFirstIntegralReport:
         with pytest.raises(ValueError, match="one dimension"):
             first_integral_report(
                 Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0))
+
+    def test_amplitude_below_the_bracket_end(self):
+        # at p = 1.05 the first integral is already negative at s = 1e-12,
+        # the lower end of its root bracket
+        params = Params(N=1, a=1.0, b=1.0, p=1.05, q=7.0, omega=0.1)
+        w = 0.1 - 2 / 2.05 * 1e-12 ** 0.05 - 2 / 8 * 1e-12 ** 6
+        with pytest.raises(NoBracketError, match=re.escape(
+                f"no positive zero of the first integral above s = 1e-12 at "
+                f"ω = 0.1: it is already {w:.3g} <= 0 there")):
+            first_integral_amplitude(params)
 
     def test_amplitude_search_is_capped(self):
         # with both powers repulsive the first integral has no turning
@@ -187,8 +197,8 @@ class TestCertificates:
     def test_residual_between_grid_nodes(self):
         params = Params(omega=50.0, **BASE)
         grid = default_grid(params)
-        amp = groundstate._shoot_amplitude(params, grid.rmax)[0]
-        sol, _ = groundstate._bvp_polish(params, amp, grid.rmax)
+        shot = groundstate._shoot_amplitude(params, grid.rmax)[0]
+        sol, _ = groundstate._bvp_polish(params, shot, grid.rmax)
         mid = 0.5 * (grid.r[1:] + grid.r[:-1])
         mid = mid[mid < 0.8 * grid.rmax]
         # at N = 1 the residual's formula at the first node is the interior one
@@ -222,12 +232,18 @@ class TestSechOracle:
             residual_norm(sech_soliton(params, RadialGrid(20.0, 4)), params)
 
 
+def last_shot_amplitude(params, rmax):
+    """φ(0) of the last bisection shot, the first φ of its record."""
+    _, y = groundstate._shoot_amplitude(params, rmax)[0]
+    return y[0, 0]
+
+
 class TestShooting:
     def test_classification_monotone(self, params1):
         rmax = default_grid(params1).rmax
         lo, hi, _ = find_bracket(params1, rmax)
         amps = np.linspace(0.5 * lo, 1.5 * hi, 25)
-        signs = [shoot_classify(params1, a, rmax) for a in amps]
+        signs = [shoot_classify(params1, a, rmax)[0] for a in amps]
         nonzero = [s for s in signs if s != 0]
         # undershoots below the bracket, overshoots above, one switch
         assert nonzero[0] == -1 and nonzero[-1] == 1
@@ -263,12 +279,12 @@ class TestShooting:
         # bisection stop width
         params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
         rmax = default_grid(params).rmax
-        amp = groundstate._shoot_amplitude(params, rmax)[0]
+        amp = last_shot_amplitude(params, rmax)
         for delta in (1e-3, 1e-8, 1e-11, 0.3, 0.5):
             for side in (-1, 1):
                 shot = amp * (1 + side * delta)
                 events = self.dense_events(params, shot, rmax)
-                assert shoot_classify(params, shot, rmax) == events == side, \
+                assert shoot_classify(params, shot, rmax)[0] == events == side, \
                     (side, delta)
 
     FORCE_CASES = [(1, 3.0, 7.0), (2, 1.5, 4.0), (3, 1.171, 4.015)]
@@ -291,7 +307,7 @@ class TestShooting:
 
     @staticmethod
     def numpy_scalar_shot(params, amplitude, rmax):
-        """Reference record (r, y) of ``_shot``: the same DOP853 settings
+        """Reference record (r, y) of ``shoot_classify``: the same DOP853 settings
         and stopping rule, with the force evaluated in numpy-scalar
         arithmetic on the unpacked ndarray y."""
 
@@ -324,10 +340,10 @@ class TestShooting:
         # of the force's operation order moves the last bits and fails here
         params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
         rmax = default_grid(params).rmax
-        amp = groundstate._shoot_amplitude(params, rmax)[0]
+        amp = last_shot_amplitude(params, rmax)
         for side in (-1, 1):
             shot = amp * (1 + side * 1e-11)
-            verdict, r, y = groundstate._shot(params, shot, rmax)
+            verdict, r, y = shoot_classify(params, shot, rmax)
             ref_r, ref_y = self.numpy_scalar_shot(params, shot, rmax)
             assert verdict == side
             assert r.size > 10
@@ -336,20 +352,42 @@ class TestShooting:
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 50.0])
     def test_seed_shot_keeps_first_integral(self, omega):
-        # the polish seed is this record up to the step before the deciding
-        # one; along it the line's first integral φ'² = ωφ² - 2a/(p+1)
-        # φ^{p+1} - 2b/(q+1) φ^{q+1} holds
+        # the polish seed is the record of the last bisection shot up to the
+        # step before the deciding one; it starts at (1e-12, φ(0), 0) with
+        # φ(0) inside the bracket and at the first-integral amplitude to the
+        # bisection width, and along it the line's first integral
+        # φ'² = ωφ² - 2a/(p+1) φ^{p+1} - 2b/(q+1) φ^{q+1} holds
         params = Params(omega=omega, **BASE)
         rmax = default_grid(params).rmax
-        amp = groundstate._shoot_amplitude(params, rmax)[0]
-        _, r, y = groundstate._shot(params, amp, rmax)
-        assert (r[0], y[0, 0], y[0, 1]) == (1e-12, amp, 0.0)
+        (r, y), (lo, hi), _, _ = groundstate._shoot_amplitude(params, rmax)
+        amp = y[0, 0]
+        assert (r[0], y[0, 1]) == (1e-12, 0.0)
+        assert lo < amp < hi
+        assert amp == pytest.approx(first_integral_amplitude(params),
+                                    rel=BISECTION_WIDTH)
         assert np.all(np.diff(r) > 0)
         phi, dphi = y[:-1].T
         a, b, p, q = params.a, params.b, params.p, params.q
         G = (omega * phi ** 2 - 2 * a / (p + 1) * phi ** (p + 1)
              - 2 * b / (q + 1) * phi ** (q + 1))
         assert np.max(np.abs(dphi ** 2 - G)) <= 1e-10 * omega * amp ** 2
+
+    def test_solve_integrates_only_its_shots(self, monkeypatch):
+        # the polish is seeded from the last bisection shot's record, so a
+        # solve whose domain is extended once builds one integrator per
+        # bracket or bisection shot and none for its two polish attempts
+        built = []
+
+        def counted_ode(*args, **kwargs):
+            built.append(args)
+            return ode(*args, **kwargs)
+
+        monkeypatch.setattr(groundstate, "ode", counted_ode)
+        gs = solve_ground_state(Params(N=1, a=1.0, b=1.0, p=1.1, q=7.0,
+                                       omega=1.0))
+        diag = gs.diagnostics
+        assert diag.extensions == 1
+        assert len(built) == diag.bracket_shots + diag.bisection_shots
 
     def test_step_budget_raises(self, params1, monkeypatch):
         monkeypatch.setattr(groundstate, "MAX_SHOT_STEPS", 5)

@@ -157,6 +157,12 @@ class TestLambdaZero:
                 f"K(v) must be <= 0, got {rep.nehari:.6g}")):
             find_lambda0(rep, params1)
 
+    def test_zero_state_names_the_mass(self, params1):
+        rep = report_from_norms(0.0, 0.0, 0.0, 0.0, params1)
+        with pytest.raises(ValueError, match=re.escape(
+                "zero state has no Nehari crossing: mass(v) = 0 <= 0")):
+            find_lambda0(rep, params1)
+
     def test_no_crossing_names_the_last_lambda(self):
         # with omega near 0 and no gradient, K(v^lam) = omega mass
         # - lam lp - lam^3 lq stays negative down to the 1e-12 floor
@@ -269,6 +275,10 @@ class TestKeyEstimate:
         with pytest.raises(PreconditionError,
                            match=re.escape(f"Q(v) > 0: Q(v) = {wide.virial:.6g}")):
             check_hypotheses(wide, gs1)
+        empty = report_from_norms(0.0, 0.0, 0.0, 0.0, params1)
+        with pytest.raises(PreconditionError, match=re.escape(
+                "v = 0: mass(v) = 0 <= 0")):
+            check_hypotheses(empty, gs1)
 
     def test_audit_short_of_samples_fails(self, gs1, monkeypatch):
         # fewer kept states than requested is not a pass, even with no
