@@ -1,17 +1,20 @@
 """Radial positive ground states of -Δφ + ωφ = a φ^p + b φ^q.
 
-The solver shoots on the central amplitude φ(0) with bisection (overshoot =
-the trajectory crosses zero, undershoot = φ' turns positive at positive φ),
-then polishes the record of its last shot with a collocation BVP using the
-asymptotic Robin condition φ' + sqrt(ω) φ = 0 at the truncation radius,
-solved in ξ = sqrt(ω) r so that its scale does not depend on ω.  Accepted
-states are certified by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
+Every solve runs in normalised unknowns free of ω.  With s₀ the zero of
+ω - a s^{p-1} - b s^{q-1}, u(ξ) = φ(ξ/√ω)/s₀ solves -Δu + u = c u^p + c′ u^q
+with c = a s₀^{p-1}/ω and c′ = b s₀^{q-1}/ω: its amplitude floor is 1 and
+its width is 1 at every (a, b, ω).  The solver shoots on u(0) with bisection
+(overshoot = the trajectory crosses zero, undershoot = u' turns positive at
+positive u), then polishes the record of its last shot with a collocation
+BVP using the asymptotic Robin condition u' + u = 0 at the truncation point,
+on one fixed ξ-grid.  The accepted profile is mapped back to r once and
+certified there by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import ode, quad, solve_bvp
@@ -48,7 +51,9 @@ MAX_SHOT_STEPS = 5000
 POLISH_TOL = 1e-9
 #: Sup-norm of the stationary equation residual above which a solve fails.
 RESIDUAL_TOL = 1e-8
-#: Nodes of the default grid per ground-state width 1/sqrt(ω).
+#: Length of the ξ-domain of every solve, in ground-state widths.
+DOMAIN_LENGTH = 25.0
+#: Nodes of the ξ-grid per ground-state width.
 NODES_PER_WIDTH = 160
 
 
@@ -100,26 +105,35 @@ def amplitude_floor(params: Params) -> float:
     """s0, the positive zero of ω - a s^{p-1} - b s^{q-1}.  Below s0 a shot
     starts with φ''(0) = -force(φ(0))/N > 0 and undershoots, and s0 is the
     constant solution, so the ground state's amplitude lies above s0."""
-    f = lambda s: params.omega - params.a * s ** (params.p - 1) \
-        - params.b * s ** (params.q - 1)
-    hi = _doubled_past_zero(f, "the potential force", params.omega)
-    return brentq(f, 1e-12, hi, xtol=1e-12)
+    return _log_root(lambda s: params.omega - params.a * s ** (params.p - 1)
+                     - params.b * s ** (params.q - 1),
+                     "the potential force", params.omega)
 
 
-def _doubled_past_zero(f, what: str, omega: float) -> float:
-    """Upper end s = 2^k >= 1 of f's root bracket (1e-12, s); f(1e-12) > 0."""
-    if (low := f(1e-12)) <= 0:
+def _log_root(f, what: str, omega: float) -> float:
+    """The zero of f, positive below it, found in log s between the smallest
+    s whose square is a normal float and s = 1e8."""
+    lo, hi = float(np.sqrt(np.finfo(float).tiny)), 1e8
+    if (low := f(lo)) <= 0:
         raise NoBracketError(
-            f"no positive zero of {what} above s = 1e-12 at ω = {omega:g}: "
+            f"no positive zero of {what} above s = {lo:.3g} at ω = {omega:g}: "
             f"it is already {low:.3g} <= 0 there")
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise NoBracketError(
-                f"no positive zero of {what} at ω = {omega:g}: it is "
-                f"{f(hi / 2):.3g} > 0 at s = {hi / 2:g}, the last s below 1e8")
-    return hi
+    if (high := f(hi)) > 0:
+        raise NoBracketError(
+            f"no positive zero of {what} at ω = {omega:g}: it is still "
+            f"{high:.3g} > 0 at s = {hi:g}")
+    t = brentq(lambda t: f(np.exp(t)), np.log(lo), np.log(hi),
+               xtol=1e-15, rtol=8.9e-16)
+    return float(np.exp(t))
+
+
+def _normalised(params: Params) -> tuple[float, Params]:
+    """(s0, parameters of u = φ/s0 in ξ = √ω r): a and b become
+    c = a s0^{p-1}/ω and c′ = b s0^{q-1}/ω and ω becomes 1.  Each is
+    computed as written: c + c′ = 1, but 1 - c can round c′ away."""
+    s0, w = amplitude_floor(params), params.omega
+    return s0, replace(params, a=params.a * s0 ** (params.p - 1) / w,
+                       b=params.b * s0 ** (params.q - 1) / w, omega=1.0)
 
 
 def _radial_rhs(params: Params):
@@ -175,26 +189,28 @@ def shoot_classify(params: Params, amplitude: float, rmax: float):
 
 
 def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
-    """Amplitude bracket (lo undershoots, hi overshoots) and the doublings
-    it took: from the floor s0, which undershoots, the amplitude doubles up
-    to the first overshoot."""
-    floor = lo = hi = amplitude_floor(params)
+    """Amplitude bracket (lo undershoots, hi overshoots) of the normalised
+    parameters ``params`` and the doublings it took: from their floor 1,
+    which undershoots, the amplitude doubles up to the first overshoot."""
+    lo = hi = 1.0
     doublings = 0
     while True:
         hi *= 2.0
         doublings += 1
         if hi > 1e8:
             raise NoBracketError(
-                f"no overshoot in amplitudes from {floor:.3g} doubled up to 1e8")
+                "no overshoot in normalised amplitudes from the floor 1 "
+                "doubled up to 1e8")
         if shoot_classify(params, hi, rmax)[0] > 0:
             return lo, hi, doublings
         lo = hi
 
 
 def _shoot_amplitude(params: Params, rmax: float):
-    """(last shot, bracket, bracket shots, bisection shots): bisection of
-    the bracket down to its stop width, with the record (r, y) of its last
-    shot, which seeds the polish."""
+    """(last shot, bracket, bracket shots, bisection shots) of the
+    normalised parameters ``params``: bisection of the bracket down to its
+    stop width, with the record (ξ, y) of its last shot, which seeds the
+    polish."""
     lo, hi, doublings = find_bracket(params, rmax)
     bracket = (lo, hi)
     # the bracket is (s, 2s), so 39 halvings reach its stop width
@@ -206,29 +222,14 @@ def _shoot_amplitude(params: Params, rmax: float):
     return (r, y), bracket, doublings, halvings
 
 
-def _in_r(sol_xi, sw: float):
-    """Read an interpolant of (u, u_ξ) in ξ = √ω r as (φ, φ_r) in r, with
-    the ``nu``-th r-derivative of both on request."""
-
-    def sol(r, nu=0):
-        y = sol_xi(sw * np.asarray(r, dtype=float), nu)
-        y[1] *= sw
-        return y * sw ** nu
-
-    return sol
-
-
 def _bvp_polish(params: Params, shot, rmax: float):
-    """Collocation solve with φ'(0) = 0 and Robin decay at rmax.
-
-    The problem is solved in ξ = √ω r, where u_ξξ + (N-1)/ξ u_ξ =
-    -force(u)/ω and the Robin condition is u_ξ + u = 0, so its scale does
-    not change with ω.  Returns the solution read in r and the mesh size.
-    """
-    sw, force = np.sqrt(params.omega), _forcing(params)
+    """Collocation solve of the normalised parameters ``params`` (ω = 1)
+    with u'(0) = 0 and the Robin decay u' + u = 0 at rmax.  Returns the
+    solution's interpolant and the mesh size."""
+    force = _forcing(params)
 
     def rhs(x, y):
-        return np.vstack([y[1], -force(y[0]) / params.omega])
+        return np.vstack([y[1], -force(y[0])])
 
     def bc(ya, yb):
         return np.array([ya[1], yb[1] + yb[0]])
@@ -238,14 +239,14 @@ def _bvp_polish(params: Params, shot, rmax: float):
         # singular term (N-1)/ξ d/dξ enters through S y / ξ
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
-    x0 = np.linspace(0.0, sw * rmax, 2001)
-    # the shot record (r, y) as initial guess, up to the step before the
-    # one that decides it, where φ >= 0, then an exponential tail
-    r, y = shot
-    x, phi, dphi = sw * r[:-1], y[:-1, 0], y[:-1, 1] / sw
-    y0 = np.array([np.interp(x0, x, phi), np.interp(x0, x, dphi)])
+    x0 = np.linspace(0.0, rmax, 2001)
+    # the shot record (ξ, y) as initial guess, up to the step before the
+    # one that decides it, where u >= 0, then an exponential tail
+    xi, y = shot
+    x, u, du = xi[:-1], y[:-1, 0], y[:-1, 1]
+    y0 = np.array([np.interp(x0, x, u), np.interp(x0, x, du)])
     tail = x0 > x[-1]
-    y0[0, tail] = phi[-1] * np.exp(-(x0[tail] - x[-1]))
+    y0[0, tail] = u[-1] * np.exp(-(x0[tail] - x[-1]))
     y0[1, tail] = -y0[0, tail]
     res = solve_bvp(rhs, bc, x0, y0, S=S, tol=POLISH_TOL,
                     max_nodes=60000, verbose=0)
@@ -253,12 +254,12 @@ def _bvp_polish(params: Params, shot, rmax: float):
         raise ConvergenceError(
             f"BVP polish at tol {POLISH_TOL:.0e} failed on {res.x.size} "
             f"nodes: {res.message}")
-    return _in_r(res.sol, sw), res.x.size
+    return res.sol, res.x.size
 
 
 def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
     """Sup-norm of the stationary equation on interior nodes via the
-    collocation interpolant's r-derivatives."""
+    collocation interpolant's derivatives."""
     (phi, dphi), d2phi = sol(r), sol(r, 1)[1]
     ri, force = r[1:-1], _forcing(params)
     res = -d2phi[1:-1] - (params.N - 1) / ri * dphi[1:-1] - force(phi[1:-1])
@@ -277,57 +278,59 @@ def _check_identities(report: FunctionalReport):
                 f"IDENTITY_RTOL = {IDENTITY_RTOL:.0e} (|S| = {action:.6g})")
 
 
-def default_grid(params: Params) -> RadialGrid:
-    """Truncation at 25/sqrt(ω) with spacing resolving the width 1/sqrt(ω)."""
-    return RadialGrid(25.0 / np.sqrt(params.omega), 25 * NODES_PER_WIDTH + 1)
+def solve_ground_state(params: Params) -> GroundStateResult:
+    """Shoot + polish + certify a positive decaying ground state.
 
-
-def solve_ground_state(params: Params,
-                       grid: RadialGrid | None = None) -> GroundStateResult:
-    """Shoot + polish + certify a positive decaying ground state; every
-    domain attempt polishes the same last bisection shot."""
-    if grid is None:
-        grid = default_grid(params)
-    rmax = grid.rmax
-    shot, bracket, bracket_shots, bisection_shots = _shoot_amplitude(params, rmax)
+    The shots and the polish solve for u = φ/s0 in ξ = √ω r on one ξ-grid,
+    and every domain attempt polishes the same last bisection shot.  The
+    truncated profile is mapped back to r once, where it is certified."""
+    s0, unit = _normalised(params)
+    grid = RadialGrid(DOMAIN_LENGTH, int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
+    sw = np.sqrt(params.omega)
+    xmax = grid.rmax
+    shot, (lo, hi), bracket_shots, bisection_shots = _shoot_amplitude(unit, xmax)
 
     for extension in range(3):
         if extension:
-            rmax *= 1.5
-            grid = RadialGrid(rmax, int(grid.n * 1.5))
-        sol, nodes = _bvp_polish(params, shot, rmax)
-        phi, dphi = sol(grid.r)
-        tail = abs(phi[-1]) / phi[0]
+            xmax *= 1.5
+            grid = RadialGrid(xmax, int(grid.n * 1.5))
+        sol, nodes = _bvp_polish(unit, shot, xmax)
+        u, du = sol(grid.r)
+        tail = abs(u[-1]) / u[0]
         if tail < TAIL_FRACTION:
             break
     else:
         raise ResolutionError(
-            f"domain too short: the profile at rmax = {rmax:.4g} is still "
-            f"{tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) after "
-            f"{extension} domain extensions")
+            f"domain too short: the profile at rmax = {xmax / sw:.4g} is "
+            f"still {tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) "
+            f"after {extension} domain extensions")
 
     # truncate to the positive, decreasing part above the decay floor; the
     # last node is below it
-    floor = TAIL_FRACTION * phi[0]
-    cut = int(np.flatnonzero((phi <= floor)
-                             | (np.diff(phi, prepend=2 * phi[0]) >= 0))[0])
-    grid = RadialGrid(grid.r[cut - 1], cut)
-    profile = RadialProfile(grid, phi[:cut], dphi[:cut])
+    floor = TAIL_FRACTION * u[0]
+    cut = int(np.flatnonzero((u <= floor)
+                             | (np.diff(u, prepend=2 * u[0]) >= 0))[0])
 
-    residual = _equation_residual(sol, params, grid.r)
-    if residual > RESIDUAL_TOL:
+    # the r-residual is ω s0 times the normalised one; the gate holds both,
+    # so a state of tiny amplitude is not certified by its scale alone
+    unit_residual = _equation_residual(sol, unit, grid.r[:cut])
+    residual = params.omega * s0 * unit_residual
+    if max(residual, unit_residual) > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"stationary residual {residual:.2e} above {RESIDUAL_TOL:.0e}")
+            f"stationary residual {residual:.2e} (normalised "
+            f"{unit_residual:.2e}) above {RESIDUAL_TOL:.0e}")
 
+    profile = RadialProfile(RadialGrid(grid.r[cut - 1] / sw, cut),
+                            s0 * u[:cut], s0 * sw * du[:cut])
     report = functionals(profile, params)
     _check_identities(report)
 
-    rate = decay_fit(profile, params.omega)
+    rate = decay_fit(profile)
 
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
                                    extension)
     return GroundStateResult(profile, params, report, residual, rate,
-                             float(phi[0]), bracket, diagnostics)
+                             float(s0 * u[0]), (s0 * lo, s0 * hi), diagnostics)
 
 
 def residual_norm(profile: RadialProfile, params: Params) -> float:
@@ -346,7 +349,7 @@ def residual_norm(profile: RadialProfile, params: Params) -> float:
     return float(max(np.max(np.abs(res)), abs(res0)))
 
 
-def decay_fit(profile: RadialProfile, omega: float) -> float:
+def decay_fit(profile: RadialProfile) -> float:
     """Negated least-squares slope of log φ over the tail window (≈ sqrt(ω))."""
     n = profile.grid.n
     window = slice(max(0, n - max(n // 5, 3)), n)
@@ -366,8 +369,7 @@ def first_integral_amplitude(params: Params) -> float:
         raise ValueError("first integral closes only in one dimension")
     a, b, p, q, w = params.a, params.b, params.p, params.q, params.omega
     f = lambda s: w - 2 * a / (p + 1) * s ** (p - 1) - 2 * b / (q + 1) * s ** (q - 1)
-    hi = _doubled_past_zero(f, "the first integral", w)
-    return float(brentq(f, 1e-12, hi, xtol=1e-14, rtol=8.9e-16))
+    return _log_root(f, "the first integral", w)
 
 
 def first_integral_report(params: Params) -> FunctionalReport:

@@ -78,7 +78,7 @@ def rescale_to_nehari(v, params):
     """Amplitude mu > 0 with K(mu v) = 0; returns (mu, report of mu*v).
 
     K(mu v)/mu^2 is strictly decreasing in mu, so the crossing is unique.
-    The bracket search is capped like ``groundstate.amplitude_floor``.
+    The bracket search is capped at mu = 1e8 above and 1e-8 below.
     """
     report = v if isinstance(v, FunctionalReport) else functionals(v, params)
     if report.mass <= 0:

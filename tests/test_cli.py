@@ -242,10 +242,9 @@ class TestClassifyCommand:
         # every number, the solver diagnostics included, is NaN
         assert row.startswith("-0.5,nan,nan,nan,nan,false,nan,nan,nan,nan,")
 
-    def test_floor_below_the_bracket_end_is_a_row(self, tmp_path):
-        # at p = 1.05 and ω = 0.1 the potential force is already negative at
-        # s = 1e-12, the floor bracket's lower end: that ω is an error row,
-        # and the ω = 1 row before it is kept
+    def test_tiny_amplitude_is_an_ok_row(self, tmp_path):
+        # at p = 1.05 and ω = 0.1 the ground state's amplitude is about
+        # 1.6e-20; the normalised solve certifies it, and d²S > 0 there
         path = write_config(tmp_path / "c.json",
                             params={**{k: BASE[k] for k in ("N", "a", "b", "q")},
                                     "p": 1.05, "omega": 1.0},
@@ -254,11 +253,10 @@ class TestClassifyCommand:
         assert run("classify", "--config", path, "--out", out,
                    "--no-timestamp") == 0
         with open(out / "classify.csv", newline="") as fh:
-            ok, bad = csv.DictReader(fh)
-        assert ok["status"] == "ok"
-        assert bad["status"] == (
-            "error: no positive zero of the potential force above s = 1e-12 "
-            "at ω = 0.1: it is already -0.151 <= 0 there")
+            first, tiny = csv.DictReader(fh)
+        assert first["status"] == tiny["status"] == "ok"
+        assert tiny["criterion_met"] == "false"
+        assert float(tiny["amplitude"]) == pytest.approx(1.638616e-20, rel=1e-6)
 
     def test_program_fault_is_not_a_row(self, tmp_path, monkeypatch):
         # only the package's error taxonomy becomes a row status; any other

@@ -65,7 +65,7 @@ class TestQuadrature:
 
     def test_rule_returns_python_float(self):
         # an np.float64 would reach the CSV writers as its repr; the grid's
-        # rmax is a numpy float, as in ``default_grid``
+        # rmax is a numpy float, as in the profiles of ``solve_ground_state``
         grid = RadialGrid(np.float64(8.0), 81)
         for N in (1, 2, 3, 4):
             assert type(radial_rule(grid, N)(np.exp(-grid.r ** 2))) is float

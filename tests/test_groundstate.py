@@ -37,12 +37,13 @@ from dpnls.params import (
 from dpnls.functionals import functionals
 from dpnls.groundstate import (
     BISECTION_WIDTH,
+    DOMAIN_LENGTH,
     IDENTITY_RTOL,
+    NODES_PER_WIDTH,
     RESIDUAL_TOL,
     SHOT_RTOL,
     amplitude_floor,
     decay_fit,
-    default_grid,
     find_bracket,
     first_integral_amplitude,
     first_integral_report,
@@ -86,8 +87,8 @@ class TestAmplitudeOracle:
     def test_floor_below_amplitude(self, params1, gs1):
         floor = amplitude_floor(params1)
         assert floor < gs1.amplitude
-        rmax = default_grid(params1).rmax
-        assert shoot_classify(params1, floor * (1 - 1e-3), rmax)[0] == -1
+        # at ω = 1 the ξ-domain is the r-domain
+        assert shoot_classify(params1, floor * (1 - 1e-3), DOMAIN_LENGTH)[0] == -1
 
 
 class TestFirstIntegralReport:
@@ -113,27 +114,98 @@ class TestFirstIntegralReport:
             first_integral_report(
                 Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0))
 
-    def test_amplitude_below_the_bracket_end(self):
-        # at p = 1.05 the first integral is already negative at s = 1e-12,
-        # the lower end of its root bracket
-        params = Params(N=1, a=1.0, b=1.0, p=1.05, q=7.0, omega=0.1)
-        w = 0.1 - 2 / 2.05 * 1e-12 ** 0.05 - 2 / 8 * 1e-12 ** 6
-        with pytest.raises(NoBracketError, match=re.escape(
-                f"no positive zero of the first integral above s = 1e-12 at "
-                f"ω = 0.1: it is already {w:.3g} <= 0 there")):
-            first_integral_amplitude(params)
-
     def test_amplitude_search_is_capped(self):
         # with both powers repulsive the first integral has no turning
-        # amplitude, so the doubling search must stop at its cap
+        # amplitude, so the search must stop at its upper end s = 1e8
         params = Params.relaxed(N=1, a=-1.0, b=-1.0, p=3.0, q=7.0,
                                 omega=1.0)
-        s = 2.0 ** 26   # the last doubling of 1 below the 1e8 cap
-        f = 1.0 + 2.0 / 4.0 * s ** 2 + 2.0 / 8.0 * s ** 6
+        f = 1.0 + 2.0 / 4.0 * 1e8 ** 2 + 2.0 / 8.0 * 1e8 ** 6
         with pytest.raises(NoBracketError, match=re.escape(
                 f"no positive zero of the first integral at ω = 1: it is "
-                f"{f:.3g} > 0 at s = 6.71089e+07, the last s below 1e8")):
+                f"still {f:.3g} > 0 at s = 1e+08")):
             first_integral_amplitude(params)
+
+
+class TestTinyAmplitude:
+    """States far below any absolute scale of the solver: at p near 1 and
+    small ω the amplitude floor (ω/a)^{1/(p-1)} is tiny."""
+
+    CASES = [(1.05, 0.1, 1.638616e-20, 1.975), (1.2, 1e-3, 1.610510e-15, 1.900)]
+
+    @pytest.fixture(scope="class", params=CASES, ids=["p1.05-w0.1", "p1.2-w1e-3"])
+    def case(self, request):
+        p, omega, amp, d2s_rel = request.param
+        params = Params(N=1, a=1.0, b=1.0, p=p, q=7.0, omega=omega)
+        return solve_ground_state(params), amp, d2s_rel
+
+    def test_certified(self, case):
+        gs, _, _ = case
+        s0 = amplitude_floor(gs.params)
+        scale = abs(gs.report.action)
+        # the gate holds the normalised residual too, which the r-residual
+        # undercuts by ω s0
+        assert gs.residual <= RESIDUAL_TOL * gs.params.omega * s0
+        assert abs(gs.report.nehari) <= IDENTITY_RTOL * scale
+        assert abs(gs.report.virial) <= IDENTITY_RTOL * scale
+
+    def test_gate_reads_the_normalised_residual(self, monkeypatch):
+        # at a gate of 1e-20 the r-residual, about 1e-27, passes and the
+        # normalised one, about 1e-9, does not
+        monkeypatch.setattr(groundstate, "RESIDUAL_TOL", 1e-20)
+        with pytest.raises(ConvergenceError,
+                           match=r"e-2\d \(normalised .*e-\d\d\) above 1e-20"):
+            solve_ground_state(Params(N=1, a=1.0, b=1.0, p=1.2, q=7.0,
+                                      omega=1e-3))
+
+    def test_matches_first_integral(self, case):
+        gs, amp, d2s_rel = case
+        rep = first_integral_report(gs.params)
+        assert gs.amplitude == pytest.approx(
+            first_integral_amplitude(gs.params), rel=1e-9)
+        assert gs.report.action == pytest.approx(rep.action, rel=1e-9)
+        assert gs.report.d2s == pytest.approx(rep.d2s, rel=1e-9)
+        assert gs.amplitude == pytest.approx(amp, rel=1e-6)
+        assert gs.report.d2s / abs(gs.report.action) == pytest.approx(
+            d2s_rel, abs=1e-3)
+
+
+class TestScalingLaw:
+    """φ(r) = s0 u(√ω r) maps the ground state at (a, b, ω) onto the one at
+    (c, c′, 1); every functional but the mass scales by
+    κ = ω^{1-N/2} s0², the mass by ω^{-N/2} s0²."""
+
+    SCALED = ("grad", "energy", "action", "bigf", "d2s")
+
+    @staticmethod
+    def factors(params):
+        """(c, c′, 1) as parameters, κ and the mass factor."""
+        s0, w, N = amplitude_floor(params), params.omega, params.N
+        unit = Params(N, params.a * s0 ** (params.p - 1) / w,
+                      params.b * s0 ** (params.q - 1) / w, params.p, params.q, 1.0)
+        return unit, w ** (1 - N / 2) * s0 ** 2, w ** (-N / 2) * s0 ** 2
+
+    def assert_scaled(self, rep, unit_rep, kappa, mass_factor, rel):
+        for name in self.SCALED:
+            assert getattr(rep, name) == pytest.approx(
+                kappa * getattr(unit_rep, name), rel=rel), name
+        assert rep.mass == pytest.approx(mass_factor * unit_rep.mass, rel=rel)
+        for name in ("nehari", "virial"):
+            assert abs(getattr(rep, name) - kappa * getattr(unit_rep, name)) \
+                <= rel * abs(rep.action), name
+
+    def test_first_integral_report_scales(self):
+        params = Params(omega=50.0, **BASE)
+        unit, kappa, mass_factor = self.factors(params)
+        self.assert_scaled(first_integral_report(params),
+                           first_integral_report(unit), kappa, mass_factor,
+                           rel=1e-12)
+
+    def test_solve_scales(self):
+        params = Params(N=2, a=1.0, b=1.0, p=2.9, q=7.9, omega=30.0)
+        unit, kappa, mass_factor = self.factors(params)
+        self.assert_scaled(solve_ground_state(params).report,
+                           solve_ground_state(unit).report, kappa,
+                           mass_factor, rel=1e-12)
 
 
 class TestDiagnostics:
@@ -188,21 +260,24 @@ class TestCertificates:
         lo, hi = gs1.bracket
         assert lo < gs1.amplitude < hi
 
-    # between the default grid's nodes, which are collocation nodes of the
-    # polish, the residual is above the gate at large ω: the FOUND line in
-    # CHANGES.md and ROADMAP item 7
+    # between the solve grid's nodes, which are collocation nodes of the
+    # polish, the r-residual is above the gate at large ω: ROADMAP item 3
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="midpoint residual about 5e-8 at N = 1, "
+                       reason="midpoint residual about 1e-7 at N = 1, "
                               "omega = 50")
     def test_residual_between_grid_nodes(self):
         params = Params(omega=50.0, **BASE)
-        grid = default_grid(params)
-        shot = groundstate._shoot_amplitude(params, grid.rmax)[0]
-        sol, _ = groundstate._bvp_polish(params, shot, grid.rmax)
+        s0, unit = groundstate._normalised(params)
+        grid = RadialGrid(DOMAIN_LENGTH,
+                          int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
+        shot = groundstate._shoot_amplitude(unit, grid.rmax)[0]
+        sol, _ = groundstate._bvp_polish(unit, shot, grid.rmax)
         mid = 0.5 * (grid.r[1:] + grid.r[:-1])
         mid = mid[mid < 0.8 * grid.rmax]
-        # at N = 1 the residual's formula at the first node is the interior one
-        assert groundstate._equation_residual(sol, params, mid) <= RESIDUAL_TOL
+        # at N = 1 the residual's formula at the first node is the interior
+        # one; the r-residual is ω s0 times the normalised one
+        residual = groundstate._equation_residual(sol, unit, mid)
+        assert params.omega * s0 * residual <= RESIDUAL_TOL
 
 
 class TestSechOracle:
@@ -232,18 +307,26 @@ class TestSechOracle:
             residual_norm(sech_soliton(params, RadialGrid(20.0, 4)), params)
 
 
-def last_shot_amplitude(params, rmax):
-    """φ(0) of the last bisection shot, the first φ of its record."""
-    _, y = groundstate._shoot_amplitude(params, rmax)[0]
+def last_shot_amplitude(unit):
+    """u(0) of the last bisection shot of the normalised parameters
+    ``unit``, the first u of its record."""
+    _, y = groundstate._shoot_amplitude(unit, DOMAIN_LENGTH)[0]
     return y[0, 0]
+
+
+def normalised(N, p, q):
+    """The normalised parameters of a = b = 1, ω = 1 at (N, p, q)."""
+    return groundstate._normalised(
+        Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0))[1]
 
 
 class TestShooting:
     def test_classification_monotone(self, params1):
-        rmax = default_grid(params1).rmax
-        lo, hi, _ = find_bracket(params1, rmax)
+        unit = groundstate._normalised(params1)[1]
+        lo, hi, _ = find_bracket(unit, DOMAIN_LENGTH)
+        assert lo == 1.0
         amps = np.linspace(0.5 * lo, 1.5 * hi, 25)
-        signs = [shoot_classify(params1, a, rmax)[0] for a in amps]
+        signs = [shoot_classify(unit, a, DOMAIN_LENGTH)[0] for a in amps]
         nonzero = [s for s in signs if s != 0]
         # undershoots below the bracket, overshoots above, one switch
         assert nonzero[0] == -1 and nonzero[-1] == 1
@@ -277,15 +360,14 @@ class TestShooting:
         # the compiled classification against the events of a solve_ivp
         # shot, on both sides of the separatrix and down to five times the
         # bisection stop width
-        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
-        rmax = default_grid(params).rmax
-        amp = last_shot_amplitude(params, rmax)
+        unit = normalised(N, p, q)
+        amp = last_shot_amplitude(unit)
         for delta in (1e-3, 1e-8, 1e-11, 0.3, 0.5):
             for side in (-1, 1):
                 shot = amp * (1 + side * delta)
-                events = self.dense_events(params, shot, rmax)
-                assert shoot_classify(params, shot, rmax)[0] == events == side, \
-                    (side, delta)
+                events = self.dense_events(unit, shot, DOMAIN_LENGTH)
+                verdict = shoot_classify(unit, shot, DOMAIN_LENGTH)[0]
+                assert verdict == events == side, (side, delta)
 
     FORCE_CASES = [(1, 3.0, 7.0), (2, 1.5, 4.0), (3, 1.171, 4.015)]
 
@@ -338,13 +420,12 @@ class TestShooting:
         # the float shot must reproduce every accepted step of the numpy
         # scalar one bit for bit, on both sides of the separatrix; a change
         # of the force's operation order moves the last bits and fails here
-        params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
-        rmax = default_grid(params).rmax
-        amp = last_shot_amplitude(params, rmax)
+        unit = normalised(N, p, q)
+        amp = last_shot_amplitude(unit)
         for side in (-1, 1):
             shot = amp * (1 + side * 1e-11)
-            verdict, r, y = shoot_classify(params, shot, rmax)
-            ref_r, ref_y = self.numpy_scalar_shot(params, shot, rmax)
+            verdict, r, y = shoot_classify(unit, shot, DOMAIN_LENGTH)
+            ref_r, ref_y = self.numpy_scalar_shot(unit, shot, DOMAIN_LENGTH)
             assert verdict == side
             assert r.size > 10
             np.testing.assert_array_equal(r, ref_r)
@@ -353,24 +434,24 @@ class TestShooting:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 50.0])
     def test_seed_shot_keeps_first_integral(self, omega):
         # the polish seed is the record of the last bisection shot up to the
-        # step before the deciding one; it starts at (1e-12, φ(0), 0) with
-        # φ(0) inside the bracket and at the first-integral amplitude to the
-        # bisection width, and along it the line's first integral
-        # φ'² = ωφ² - 2a/(p+1) φ^{p+1} - 2b/(q+1) φ^{q+1} holds
+        # step before the deciding one; it starts at (1e-12, u(0), 0) with
+        # u(0) inside the bracket and s0 u(0) at the first-integral amplitude
+        # to the bisection width, and along it the line's first integral
+        # u'² = u² - 2c/(p+1) u^{p+1} - 2c′/(q+1) u^{q+1} holds
         params = Params(omega=omega, **BASE)
-        rmax = default_grid(params).rmax
-        (r, y), (lo, hi), _, _ = groundstate._shoot_amplitude(params, rmax)
+        s0, unit = groundstate._normalised(params)
+        (x, y), (lo, hi), _, _ = groundstate._shoot_amplitude(unit,
+                                                              DOMAIN_LENGTH)
         amp = y[0, 0]
-        assert (r[0], y[0, 1]) == (1e-12, 0.0)
+        assert (x[0], y[0, 1]) == (1e-12, 0.0)
         assert lo < amp < hi
-        assert amp == pytest.approx(first_integral_amplitude(params),
-                                    rel=BISECTION_WIDTH)
-        assert np.all(np.diff(r) > 0)
-        phi, dphi = y[:-1].T
-        a, b, p, q = params.a, params.b, params.p, params.q
-        G = (omega * phi ** 2 - 2 * a / (p + 1) * phi ** (p + 1)
-             - 2 * b / (q + 1) * phi ** (q + 1))
-        assert np.max(np.abs(dphi ** 2 - G)) <= 1e-10 * omega * amp ** 2
+        assert s0 * amp == pytest.approx(first_integral_amplitude(params),
+                                         rel=BISECTION_WIDTH)
+        assert np.all(np.diff(x) > 0)
+        u, du = y[:-1].T
+        c, c1, p, q = unit.a, unit.b, unit.p, unit.q
+        G = u ** 2 - 2 * c / (p + 1) * u ** (p + 1) - 2 * c1 / (q + 1) * u ** (q + 1)
+        assert np.max(np.abs(du ** 2 - G)) <= 1e-10 * amp ** 2
 
     def test_solve_integrates_only_its_shots(self, monkeypatch):
         # the polish is seeded from the last bisection shot's record, so a
@@ -396,20 +477,20 @@ class TestShooting:
             with pytest.raises(ConvergenceError,
                                match=r"amplitude 1\.5 .* code -2 "
                                      r"\(more than 5 steps\)"):
-                shoot_classify(params1, 1.5, default_grid(params1).rmax)
+                shoot_classify(params1, 1.5, DOMAIN_LENGTH)
 
     def test_no_bracket_for_defocusing_signs(self):
-        # with both powers repulsive there is no turning amplitude at all
+        # with both powers repulsive there is no turning amplitude at all,
+        # so the solve stops at the normalisation
         params = Params.relaxed(
             N=1, a=-1.0, b=-1.0, p=3.0, q=7.0, omega=1.0
         )
-        # ω - a s^2 - b s^6 at the last doubling of 1 below the 1e8 cap
-        s = 2.0 ** 26
-        f = 1.0 + s ** 2 + s ** 6
+        # ω - a s^2 - b s^6 at the upper end s = 1e8 of the floor search
+        f = 1.0 + 1e8 ** 2 + 1e8 ** 6
         with pytest.raises(NoBracketError, match=re.escape(
                 f"no positive zero of the potential force at ω = 1: it is "
-                f"{f:.3g} > 0 at s = 6.71089e+07, the last s below 1e8")):
-            find_bracket(params, 10.0)
+                f"still {f:.3g} > 0 at s = 1e+08")):
+            solve_ground_state(params)
 
 
 class TestDecayFit:
@@ -417,14 +498,14 @@ class TestDecayFit:
         grid = RadialGrid(30.0, 3001)
         vals = np.exp(-2.0 * grid.r)
         prof = RadialProfile(grid, vals, -2.0 * vals)
-        assert decay_fit(prof, 4.0) == pytest.approx(2.0, abs=1e-6)
+        assert decay_fit(prof) == pytest.approx(2.0, abs=1e-6)
 
     def test_rejects_growing_tail(self):
         grid = RadialGrid(10.0, 1001)
         vals = np.exp(0.3 * grid.r)
         prof = RadialProfile(grid, vals, 0.3 * vals)
         with pytest.raises(TailError, match=r"log-slope 0\.3 >= 0"):
-            decay_fit(prof, 1.0)
+            decay_fit(prof)
 
     def test_rejects_nonpositive_tail(self):
         grid = RadialGrid(10.0, 1001)
@@ -432,15 +513,18 @@ class TestDecayFit:
         vals[-3] = -2.5e-4
         prof = RadialProfile(grid, vals, -vals)
         with pytest.raises(TailError, match=r"smallest -0\.00025"):
-            decay_fit(prof, 1.0)
+            decay_fit(prof)
 
 
 class TestDomain:
-    def test_short_domain_names_the_tail(self, params1):
+    def test_short_domain_names_the_tail(self, params1, monkeypatch):
         # e^{-18} is far above the tail threshold, so three solves on
-        # rmax = 8, 12, 18 all leave a heavy tail at the boundary
-        with pytest.raises(ResolutionError, match="domain too short"):
-            solve_ground_state(params1, RadialGrid(8.0, 1281))
+        # rmax = 8, 12, 18 (at ω = 1, ξ = r) all leave a heavy tail at the
+        # boundary; the first grid has 1281 nodes
+        monkeypatch.setattr(groundstate, "DOMAIN_LENGTH", 8.0)
+        with pytest.raises(ResolutionError, match=re.escape(
+                "domain too short: the profile at rmax = 18 is still")):
+            solve_ground_state(params1)
 
 
 class TestHigherDimension:
@@ -480,14 +564,20 @@ class TestHigherDimension:
         self.assert_certified(solve_ground_state(
             Params(N=2, a=1.0, b=1.0, p=p, q=7.9, omega=30.0)))
 
-    # at N = 4 with q near its Sobolev bound 3 and large ω the collocation
-    # polish runs out of its node budget (39100 nodes here): ROADMAP item 2
+    # at N = 4 with q near its Sobolev bound 3 and large ω; the normalised
+    # polish certifies these on about 5800 nodes
+    @pytest.mark.parametrize("p, omega", [(1.9, 30.0), (1.1, 10.0)])
+    def test_four_dimensional_large_omega_certifies(self, p, omega):
+        self.assert_certified(solve_ground_state(
+            Params(N=4, a=1.0, b=1.0, p=p, q=2.9, omega=omega)))
+
+    # at p = 1.5 the collocation polish still runs out of its node budget
+    # (46362 nodes here): ROADMAP item 3
     @pytest.mark.xfail(strict=True, raises=ConvergenceError,
                        reason="polish exceeds its node budget at N = 4, "
-                              "q = 2.9, omega = 30")
-    def test_four_dimensional_large_omega_certifies(self):
-        self.assert_certified(solve_ground_state(
-            Params(N=4, a=1.0, b=1.0, p=1.9, q=2.9, omega=30.0)))
+                              "p = 1.5, q = 2.9, omega = 30")
+    def test_four_dimensional_node_budget(self):
+        solve_ground_state(Params(N=4, a=1.0, b=1.0, p=1.5, q=2.9, omega=30.0))
 
 
 @st.composite
@@ -543,10 +633,12 @@ class TestResample:
 
 
 class TestGridConsistency:
-    def test_refinement_agrees(self, params1, gs1):
-        fine = solve_ground_state(
-            params1, RadialGrid(gs1.profile.grid.rmax, 8001)
-        )
+    def test_refinement_agrees(self, params1, gs1, monkeypatch):
+        # twice the nodes per width: 8001 on the ξ-domain, which at ω = 1
+        # is the r-domain
+        monkeypatch.setattr(groundstate, "NODES_PER_WIDTH", 320)
+        fine = solve_ground_state(params1)
+        assert fine.profile.grid.n > 2 * gs1.profile.grid.n - 2
         assert fine.amplitude == pytest.approx(gs1.amplitude, rel=1e-8)
         assert fine.report.action == pytest.approx(
             gs1.report.action, rel=1e-6
