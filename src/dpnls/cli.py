@@ -170,6 +170,7 @@ def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         "omega": gs.params.omega,
         "amplitude": gs.amplitude,
         "residual": gs.residual,
+        "unit_residual": gs.unit_residual,
         "decay_rate": gs.decay_rate,
         "bracket_lo": gs.bracket[0],
         "bracket_hi": gs.bracket[1],

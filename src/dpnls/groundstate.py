@@ -5,10 +5,12 @@ Every solve runs in normalised unknowns free of ω.  With s₀ the zero of
 with c = a s₀^{p-1}/ω and c′ = b s₀^{q-1}/ω: its amplitude floor is 1 and
 its width is 1 at every (a, b, ω).  The solver shoots on u(0) with bisection
 (overshoot = the trajectory crosses zero, undershoot = u' turns positive at
-positive u), then polishes the record of its last shot with a collocation
-BVP using the asymptotic Robin condition u' + u = 0 at the truncation point,
-on one fixed ξ-grid.  The accepted profile is mapped back to r once and
-certified there by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
+positive u).  A shot has no horizon: it runs until it decides, so the
+bisection's stop width holds on every state.  The record of the last shot
+seeds a collocation BVP with the asymptotic Robin condition u' + u = 0 at
+the truncation point, on one fixed ξ-grid; the polish alone knows the
+domain.  The accepted profile is mapped back to r once and certified there
+by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class GroundStateResult:
     profile: RadialProfile
     params: Params
     report: FunctionalReport
-    residual: float
+    residual: float             # stationary residual of φ in r
+    unit_residual: float        # the same of u in ξ: residual / (ω s0)
     decay_rate: float
     amplitude: float            # φ(0)
     bracket: tuple[float, float]  # shooting amplitude bracket used
@@ -130,10 +133,13 @@ def _log_root(f, what: str, omega: float) -> float:
 def _normalised(params: Params) -> tuple[float, Params]:
     """(s0, parameters of u = φ/s0 in ξ = √ω r): a and b become
     c = a s0^{p-1}/ω and c′ = b s0^{q-1}/ω and ω becomes 1.  Each is
-    computed as written: c + c′ = 1, but 1 - c can round c′ away."""
+    computed as written: c + c′ = 1, but 1 - c can round c′ away.  They
+    derive from validated parameters and are not validated again: c and c′
+    are >= 0 by construction, and c′ underflows to 0 at tiny s0."""
     s0, w = amplitude_floor(params), params.omega
     return s0, replace(params, a=params.a * s0 ** (params.p - 1) / w,
-                       b=params.b * s0 ** (params.q - 1) / w, omega=1.0)
+                       b=params.b * s0 ** (params.q - 1) / w, omega=1.0,
+                       _validate=False)
 
 
 def _radial_rhs(params: Params):
@@ -148,23 +154,21 @@ def _radial_rhs(params: Params):
     return rhs
 
 
-def shoot_classify(params: Params, amplitude: float, rmax: float):
-    """(verdict, r, y): one DOP853 shot from φ(0) = amplitude, φ'(0) = 0
-    towards rmax, with its accepted steps r and (φ, φ') at each.
+def shoot_classify(params: Params, amplitude: float):
+    """(overshoots, r, y): one DOP853 shot from φ(0) = amplitude, φ'(0) = 0,
+    with its accepted steps r and (φ, φ') at each.
 
-    The shot runs the compiled DOP853 of ``scipy.integrate.ode`` and stops
-    at the first accepted step that decides it: +1 if that step ends with
-    φ < 0 (amplitude too large), else -1 if it ends with φ' > 0 (too
-    small); 0 if neither happens before rmax.
+    The shot runs the compiled DOP853 of ``scipy.integrate.ode`` with no
+    horizon and stops at the first accepted step that decides it: that step
+    overshoots if it ends with φ < 0 (amplitude too large), else it ends
+    with φ' > 0 (too small).  Only the ``MAX_SHOT_STEPS`` budget stops it
+    before, and a shot that fails raises ``ConvergenceError``.
     """
-    verdict = 0
     steps = []
 
     def decide(r, y):
-        nonlocal verdict
         steps.append((r, y[0], y[1]))
-        verdict = 1 if y[0] < 0.0 else -1 if y[1] > 0.0 else 0
-        return -1 if verdict else 0
+        return -1 if y[0] < 0.0 or y[1] > 0.0 else 0
 
     shot = ode(_radial_rhs(params)).set_integrator(
         "dop853", rtol=SHOT_RTOL, atol=1e-16, nsteps=MAX_SHOT_STEPS)
@@ -173,7 +177,7 @@ def shoot_classify(params: Params, amplitude: float, rmax: float):
     with warnings.catch_warnings():
         # a failed shot warns and stops; its return code raises below
         warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-        shot.integrate(rmax)
+        shot.integrate(np.inf)
     code = shot.get_return_code()
     if code < 0:
         cause = {-2: f"more than {MAX_SHOT_STEPS} steps",
@@ -185,10 +189,10 @@ def shoot_classify(params: Params, amplitude: float, rmax: float):
     record = np.array(steps)
     # scipy keeps ``decide`` alive after the shot, and with it this list
     steps.clear()
-    return verdict, record[:, 0], record[:, 1:]
+    return bool(record[-1, 1] < 0.0), record[:, 0], record[:, 1:]
 
 
-def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
+def find_bracket(params: Params) -> tuple[float, float, int]:
     """Amplitude bracket (lo undershoots, hi overshoots) of the normalised
     parameters ``params`` and the doublings it took: from their floor 1,
     which undershoots, the amplitude doubles up to the first overshoot."""
@@ -201,24 +205,25 @@ def find_bracket(params: Params, rmax: float) -> tuple[float, float, int]:
             raise NoBracketError(
                 "no overshoot in normalised amplitudes from the floor 1 "
                 "doubled up to 1e8")
-        if shoot_classify(params, hi, rmax)[0] > 0:
+        if shoot_classify(params, hi)[0]:
             return lo, hi, doublings
         lo = hi
 
 
-def _shoot_amplitude(params: Params, rmax: float):
+def _shoot_amplitude(params: Params):
     """(last shot, bracket, bracket shots, bisection shots) of the
     normalised parameters ``params``: bisection of the bracket down to its
     stop width, with the record (ξ, y) of its last shot, which seeds the
-    polish."""
-    lo, hi, doublings = find_bracket(params, rmax)
+    polish.  Every shot decides, so the last one lies within the stop width
+    of the separatrix."""
+    lo, hi, doublings = find_bracket(params)
     bracket = (lo, hi)
     # the bracket is (s, 2s), so 39 halvings reach its stop width
     halvings = int(np.ceil(-np.log2(BISECTION_WIDTH)))
     for _ in range(halvings):
         mid = 0.5 * (lo + hi)
-        verdict, r, y = shoot_classify(params, mid, rmax)
-        lo, hi = (lo, mid) if verdict > 0 else (mid, hi)
+        overshoots, r, y = shoot_classify(params, mid)
+        lo, hi = (lo, mid) if overshoots else (mid, hi)
     return (r, y), bracket, doublings, halvings
 
 
@@ -239,9 +244,15 @@ def _bvp_polish(params: Params, shot, rmax: float):
         # singular term (N-1)/ξ d/dξ enters through S y / ξ
         S = np.array([[0.0, 0.0], [0.0, -(params.N - 1.0)]])
 
+    # on the default domain every profile-grid node is a node or an interval
+    # midpoint of this mesh, where the collocation residual vanishes by
+    # construction; the residual gate reads about 1e-13 only because of
+    # that, so the domain extensions cannot give way to one long domain
+    # until the residual is read between the nodes (ROADMAP item 3)
     x0 = np.linspace(0.0, rmax, 2001)
     # the shot record (ξ, y) as initial guess, up to the step before the
-    # one that decides it, where u >= 0, then an exponential tail
+    # one that decides it, where u >= 0, then an exponential tail; a record
+    # past rmax is clipped by ``np.interp``
     xi, y = shot
     x, u, du = xi[:-1], y[:-1, 0], y[:-1, 1]
     y0 = np.array([np.interp(x0, x, u), np.interp(x0, x, du)])
@@ -281,27 +292,26 @@ def _check_identities(report: FunctionalReport):
 def solve_ground_state(params: Params) -> GroundStateResult:
     """Shoot + polish + certify a positive decaying ground state.
 
-    The shots and the polish solve for u = φ/s0 in ξ = √ω r on one ξ-grid,
-    and every domain attempt polishes the same last bisection shot.  The
-    truncated profile is mapped back to r once, where it is certified."""
+    The shots and the polish solve for u = φ/s0 in ξ = √ω r.  The shots run
+    until they decide; the polish alone has a domain, the ξ-grid, and every
+    domain attempt polishes the same last bisection shot.  The truncated
+    profile is mapped back to r once, where it is certified."""
     s0, unit = _normalised(params)
     grid = RadialGrid(DOMAIN_LENGTH, int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
     sw = np.sqrt(params.omega)
-    xmax = grid.rmax
-    shot, (lo, hi), bracket_shots, bisection_shots = _shoot_amplitude(unit, xmax)
+    shot, (lo, hi), bracket_shots, bisection_shots = _shoot_amplitude(unit)
 
     for extension in range(3):
         if extension:
-            xmax *= 1.5
-            grid = RadialGrid(xmax, int(grid.n * 1.5))
-        sol, nodes = _bvp_polish(unit, shot, xmax)
+            grid = RadialGrid(1.5 * grid.rmax, int(grid.n * 1.5))
+        sol, nodes = _bvp_polish(unit, shot, grid.rmax)
         u, du = sol(grid.r)
         tail = abs(u[-1]) / u[0]
         if tail < TAIL_FRACTION:
             break
     else:
         raise ResolutionError(
-            f"domain too short: the profile at rmax = {xmax / sw:.4g} is "
+            f"domain too short: the profile at rmax = {grid.rmax / sw:.4g} is "
             f"still {tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) "
             f"after {extension} domain extensions")
 
@@ -329,8 +339,9 @@ def solve_ground_state(params: Params) -> GroundStateResult:
 
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
                                    extension)
-    return GroundStateResult(profile, params, report, residual, rate,
-                             float(s0 * u[0]), (s0 * lo, s0 * hi), diagnostics)
+    return GroundStateResult(profile, params, report, residual, unit_residual,
+                             rate, float(s0 * u[0]), (s0 * lo, s0 * hi),
+                             diagnostics)
 
 
 def residual_norm(profile: RadialProfile, params: Params) -> float:

@@ -54,7 +54,9 @@ class Params:
     """Equation parameters (N, a, b, p, q, omega) with derived scaling exponents.
 
     Admissibility: a, b, omega > 0 and 1 < p < 1 + 4/N < q, with
-    q < 1 + 4/(N-2) for N >= 3.  Validation can be skipped via
+    q < 1 + 4/(N-2) for N >= 3.  Validation is skipped by
+    ``_validate=False`` for parameters derived from validated ones (the
+    normalised c, c′ of a solve, where c′ can underflow to 0) and via
     ``Params.relaxed`` for test oracles that need degenerate coefficients
     (e.g. the single-power soliton with a = 0).
     """

@@ -159,6 +159,17 @@ class TestGroundstateCommand:
         assert diag["bracket_shots"] > 0 and diag["bisection_shots"] > 0
         assert diag["mesh_nodes"] > 0 and diag["extensions"] == 0
 
+    def test_summary_reports_both_residuals(self, tmp_path):
+        # at φ(0) ≈ 1.6e-20 the r-residual is ω s0 times the normalised
+        # one, so it alone would say nothing of the state's accuracy
+        path = write_config(tmp_path / "c.json", params={
+            "N": 1, "a": 1.0, "b": 1.0, "p": 1.05, "q": 7.0, "omega": 0.1})
+        assert run("groundstate", "--config", path, "--out", tmp_path,
+                   "--no-timestamp") == 0
+        record = json.loads((tmp_path / "groundstate.json").read_text())
+        assert 0.0 < record["unit_residual"] <= 1e-8
+        assert record["residual"] < 1e-15 * record["unit_residual"]
+
     def test_invalid_exponents_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({

@@ -87,8 +87,8 @@ class TestAmplitudeOracle:
     def test_floor_below_amplitude(self, params1, gs1):
         floor = amplitude_floor(params1)
         assert floor < gs1.amplitude
-        # at ω = 1 the ξ-domain is the r-domain
-        assert shoot_classify(params1, floor * (1 - 1e-3), DOMAIN_LENGTH)[0] == -1
+        # below the floor a shot undershoots
+        assert not shoot_classify(params1, floor * (1 - 1e-3))[0]
 
 
 class TestFirstIntegralReport:
@@ -130,12 +130,16 @@ class TestTinyAmplitude:
     """States far below any absolute scale of the solver: at p near 1 and
     small ω the amplitude floor (ω/a)^{1/(p-1)} is tiny."""
 
-    CASES = [(1.05, 0.1, 1.638616e-20, 1.975), (1.2, 1e-3, 1.610510e-15, 1.900)]
+    # at q = 9.5 the floor is 1e-40 and c′ = b s0^{8.5}/ω underflows to 0
+    CASES = [(1.05, 7.0, 0.1, 1.638616e-20, 1.975),
+             (1.2, 7.0, 1e-3, 1.610510e-15, 1.900),
+             (1.05, 9.5, 0.01, 1.638616e-40, 1.975)]
 
-    @pytest.fixture(scope="class", params=CASES, ids=["p1.05-w0.1", "p1.2-w1e-3"])
+    @pytest.fixture(scope="class", params=CASES,
+                    ids=["p1.05-w0.1", "p1.2-w1e-3", "p1.05-q9.5-w0.01"])
     def case(self, request):
-        p, omega, amp, d2s_rel = request.param
-        params = Params(N=1, a=1.0, b=1.0, p=p, q=7.0, omega=omega)
+        p, q, omega, amp, d2s_rel = request.param
+        params = Params(N=1, a=1.0, b=1.0, p=p, q=q, omega=omega)
         return solve_ground_state(params), amp, d2s_rel
 
     def test_certified(self, case):
@@ -143,8 +147,10 @@ class TestTinyAmplitude:
         s0 = amplitude_floor(gs.params)
         scale = abs(gs.report.action)
         # the gate holds the normalised residual too, which the r-residual
-        # undercuts by ω s0
-        assert gs.residual <= RESIDUAL_TOL * gs.params.omega * s0
+        # undercuts by ω s0; the result keeps both
+        assert gs.unit_residual <= RESIDUAL_TOL
+        assert gs.residual == pytest.approx(
+            gs.params.omega * s0 * gs.unit_residual, rel=1e-12)
         assert abs(gs.report.nehari) <= IDENTITY_RTOL * scale
         assert abs(gs.report.virial) <= IDENTITY_RTOL * scale
 
@@ -156,6 +162,13 @@ class TestTinyAmplitude:
                            match=r"e-2\d \(normalised .*e-\d\d\) above 1e-20"):
             solve_ground_state(Params(N=1, a=1.0, b=1.0, p=1.2, q=7.0,
                                       omega=1e-3))
+
+    def test_underflowing_coefficient_is_not_a_precondition(self):
+        # c′ underflows to 0 here too; the state is too wide for the
+        # extended domain, and the error says so
+        with pytest.raises(ResolutionError, match="domain too short"):
+            solve_ground_state(Params(N=1, a=1.0, b=1.0, p=1.03, q=9.0,
+                                      omega=0.01))
 
     def test_matches_first_integral(self, case):
         gs, amp, d2s_rel = case
@@ -270,7 +283,7 @@ class TestCertificates:
         s0, unit = groundstate._normalised(params)
         grid = RadialGrid(DOMAIN_LENGTH,
                           int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
-        shot = groundstate._shoot_amplitude(unit, grid.rmax)[0]
+        shot = groundstate._shoot_amplitude(unit)[0]
         sol, _ = groundstate._bvp_polish(unit, shot, grid.rmax)
         mid = 0.5 * (grid.r[1:] + grid.r[:-1])
         mid = mid[mid < 0.8 * grid.rmax]
@@ -310,7 +323,7 @@ class TestSechOracle:
 def last_shot_amplitude(unit):
     """u(0) of the last bisection shot of the normalised parameters
     ``unit``, the first u of its record."""
-    _, y = groundstate._shoot_amplitude(unit, DOMAIN_LENGTH)[0]
+    _, y = groundstate._shoot_amplitude(unit)[0]
     return y[0, 0]
 
 
@@ -322,24 +335,25 @@ def normalised(N, p, q):
 
 class TestShooting:
     def test_classification_monotone(self, params1):
-        unit = groundstate._normalised(params1)[1]
-        lo, hi, _ = find_bracket(unit, DOMAIN_LENGTH)
-        assert lo == 1.0
-        amps = np.linspace(0.5 * lo, 1.5 * hi, 25)
-        signs = [shoot_classify(unit, a, DOMAIN_LENGTH)[0] for a in amps]
-        nonzero = [s for s in signs if s != 0]
-        # undershoots below the bracket, overshoots above, one switch
-        assert nonzero[0] == -1 and nonzero[-1] == 1
-        switches = sum(
-            1 for s0, s1 in zip(nonzero, nonzero[1:]) if s0 != s1
-        )
-        assert switches == 1
+        # every shot decides, on the wide state at p = 1.05 too, whose
+        # shots run past the end ξ = 25 of the polish's domain
+        wide = Params(N=1, a=1.0, b=1.0, p=1.05, q=7.0, omega=0.1)
+        for params in (params1, wide):
+            unit = groundstate._normalised(params)[1]
+            lo, hi, _ = find_bracket(unit)
+            assert lo == 1.0
+            amps = np.linspace(0.5 * lo, 1.5 * hi, 25)
+            overshoots = [shoot_classify(unit, a)[0] for a in amps]
+            # undershoots below the bracket, overshoots above, one switch
+            assert all(type(o) is bool for o in overshoots)
+            assert not overshoots[0] and overshoots[-1]
+            assert sum(o != n for o, n in zip(overshoots, overshoots[1:])) == 1
 
     @staticmethod
     def dense_events(params, amplitude, rmax):
-        """Reference verdict: solve_ivp's DOP853 with terminal events at the
-        first zero of φ (+1) and the first turn of φ' to positive values
-        (-1)."""
+        """Reference verdict: solve_ivp's DOP853 towards rmax with terminal
+        events at the first zero of φ (+1) and the first turn of φ' to
+        positive values (-1); 0 if neither happens before rmax."""
 
         def cross(r, y):
             return y[0]
@@ -366,8 +380,9 @@ class TestShooting:
             for side in (-1, 1):
                 shot = amp * (1 + side * delta)
                 events = self.dense_events(unit, shot, DOMAIN_LENGTH)
-                verdict = shoot_classify(unit, shot, DOMAIN_LENGTH)[0]
-                assert verdict == events == side, (side, delta)
+                overshoots = shoot_classify(unit, shot)[0]
+                assert events == side, (side, delta)
+                assert overshoots is (side == 1), (side, delta)
 
     FORCE_CASES = [(1, 3.0, 7.0), (2, 1.5, 4.0), (3, 1.171, 4.015)]
 
@@ -388,10 +403,10 @@ class TestShooting:
         assert got == [dphi, want[0]]
 
     @staticmethod
-    def numpy_scalar_shot(params, amplitude, rmax):
+    def numpy_scalar_shot(params, amplitude):
         """Reference record (r, y) of ``shoot_classify``: the same DOP853 settings
-        and stopping rule, with the force evaluated in numpy-scalar
-        arithmetic on the unpacked ndarray y."""
+        and stopping rule, with no horizon, and the force evaluated in
+        numpy-scalar arithmetic on the unpacked ndarray y."""
 
         def rhs(r, y):
             phi, dphi = y
@@ -411,7 +426,7 @@ class TestShooting:
                                        nsteps=groundstate.MAX_SHOT_STEPS)
         shot.set_solout(decide)
         shot.set_initial_value([amplitude, 0.0], 1e-12)
-        shot.integrate(rmax)
+        shot.integrate(np.inf)
         record = np.array(steps)
         return record[:, 0], record[:, 1:]
 
@@ -424,24 +439,29 @@ class TestShooting:
         amp = last_shot_amplitude(unit)
         for side in (-1, 1):
             shot = amp * (1 + side * 1e-11)
-            verdict, r, y = shoot_classify(unit, shot, DOMAIN_LENGTH)
-            ref_r, ref_y = self.numpy_scalar_shot(unit, shot, DOMAIN_LENGTH)
-            assert verdict == side
+            overshoots, r, y = shoot_classify(unit, shot)
+            ref_r, ref_y = self.numpy_scalar_shot(unit, shot)
+            assert overshoots is (side == 1)
             assert r.size > 10
             np.testing.assert_array_equal(r, ref_r)
             np.testing.assert_array_equal(y, ref_y)
 
-    @pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 50.0])
-    def test_seed_shot_keeps_first_integral(self, omega):
+    # the wide states at p near 1 decide far out (ξ = 45 at p = 1.02); a
+    # shot that stopped undecided at ξ = 25 left them up to 2.6e-5 off
+    @pytest.mark.parametrize("p, q, omega", [
+        (3.0, 7.0, 0.5), (3.0, 7.0, 1.0), (3.0, 7.0, 10.0), (3.0, 7.0, 50.0),
+        (1.05, 7.0, 0.1), (1.02, 6.0, 1.0), (1.05, 7.0, 1.0), (1.08, 5.5, 0.3),
+    ], ids=["0.5", "1.0", "10.0", "50.0", "p1.05-q7-w0.1", "p1.02-q6-w1",
+            "p1.05-q7-w1", "p1.08-q5.5-w0.3"])
+    def test_seed_shot_keeps_first_integral(self, p, q, omega):
         # the polish seed is the record of the last bisection shot up to the
         # step before the deciding one; it starts at (1e-12, u(0), 0) with
         # u(0) inside the bracket and s0 u(0) at the first-integral amplitude
         # to the bisection width, and along it the line's first integral
         # u'² = u² - 2c/(p+1) u^{p+1} - 2c′/(q+1) u^{q+1} holds
-        params = Params(omega=omega, **BASE)
+        params = Params(N=1, a=1.0, b=1.0, p=p, q=q, omega=omega)
         s0, unit = groundstate._normalised(params)
-        (x, y), (lo, hi), _, _ = groundstate._shoot_amplitude(unit,
-                                                              DOMAIN_LENGTH)
+        (x, y), (lo, hi), _, _ = groundstate._shoot_amplitude(unit)
         amp = y[0, 0]
         assert (x[0], y[0, 1]) == (1e-12, 0.0)
         assert lo < amp < hi
@@ -477,7 +497,7 @@ class TestShooting:
             with pytest.raises(ConvergenceError,
                                match=r"amplitude 1\.5 .* code -2 "
                                      r"\(more than 5 steps\)"):
-                shoot_classify(params1, 1.5, DOMAIN_LENGTH)
+                shoot_classify(params1, 1.5)
 
     def test_no_bracket_for_defocusing_signs(self):
         # with both powers repulsive there is no turning amplitude at all,
