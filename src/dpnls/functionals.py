@@ -22,6 +22,7 @@ from .params import (
     InvalidStateError,
     Params,
     PeriodicGrid,
+    PreconditionError,
     RadialGrid,
     RadialProfile,
 )
@@ -133,7 +134,7 @@ def at_scale(report: FunctionalReport, params: Params, lam) -> FunctionalReport:
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
-        raise ValueError(f"lambda must be positive, got smallest "
+        raise PreconditionError(f"lambda must be positive, got smallest "
                          f"{float(np.min(lam))!r}")
     return report_from_norms(report.mass, lam ** 2 * report.grad,
                              lam ** params.alpha * report.lp,

@@ -306,20 +306,22 @@ def solve_ground_state(params: Params) -> GroundStateResult:
             grid = RadialGrid(1.5 * grid.rmax, int(grid.n * 1.5))
         sol, nodes = _bvp_polish(unit, shot, grid.rmax)
         u, du = sol(grid.r)
-        tail = abs(u[-1]) / u[0]
-        if tail < TAIL_FRACTION:
+        if not u[0] > 1.0:
+            raise ConvergenceError(
+                f"BVP polish collapsed: u(0) = {u[0]:.6g} is not above the "
+                f"normalised amplitude floor 1")
+        # the profile is cut at the first node at or below the decay floor
+        # or where it stops falling (argmax is 0, above the floor, if none);
+        # the attempt stands if the cut node is below the floor
+        floor = TAIL_FRACTION * u[0]
+        cut = int(np.argmax((u <= floor) | (np.diff(u, prepend=2 * u[0]) >= 0)))
+        if u[cut] <= floor:
             break
     else:
         raise ResolutionError(
             f"domain too short: the profile at rmax = {grid.rmax / sw:.4g} is "
-            f"still {tail:.2e} of its peak (need < {TAIL_FRACTION:.0e}) "
-            f"after {extension} domain extensions")
-
-    # truncate to the positive, decreasing part above the decay floor; the
-    # last node is below it
-    floor = TAIL_FRACTION * u[0]
-    cut = int(np.flatnonzero((u <= floor)
-                             | (np.diff(u, prepend=2 * u[0]) >= 0))[0])
+            f"still {abs(u[-1]) / u[0]:.2e} of its peak (need < "
+            f"{TAIL_FRACTION:.0e}) after {extension} domain extensions")
 
     # the r-residual is ω s0 times the normalised one; the gate holds both,
     # so a state of tiny amplitude is not certified by its scale alone

@@ -3,8 +3,11 @@
 The estimate is proved through a chain of scalar inequalities in the
 exponents (alpha, beta) and a rescaling parameter lambda in (0, 1]:
 h >= 0, g2 <= 0, g3 >= 0 and g1 >= 0.  This module evaluates each of them
-in numerically stable form, constructs the Nehari-crossing lambda_0 for a
-given state, and checks the estimate itself on sampled states.
+as a combination of lambda^k - 1 = expm1(k log lambda), all read from one
+log lambda, so each vanishes at lambda = 1 by construction and keeps its
+sign next to it; g1 and the aim inequality share one ratio.  It also
+constructs the Nehari-crossing lambda_0 for a given state and checks the
+estimate itself on sampled states.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from .groundstate import GroundStateResult
 
 #: A sign-suite extreme within this of zero counts as having the claimed sign.
 SIGN_SLACK = 1e-9
-#: Below this |log lambda_0| the aim-inequality ratio comes from its
-#: first-order expansion.  At the switch, for alpha in [0.05, 1.95] and beta
-#: in [2.05, 6], the expansion's truncation error and the rounding of the
-#: differences are each below 2e-9 relative, under the 1e-8 chain slack.
+#: Below this |log lambda| the ratio shared by g1 and the aim inequality
+#: comes from its first-order expansion.  At the switch, for alpha in
+#: [0.05, 1.95] and beta in [2.05, 6], the expansion's truncation error and
+#: the rounding of the differences are each below 2e-9 relative, under the
+#: 1e-8 chain slack.
 AIM_SERIES_LOG = 1e-5
 #: Largest relative bump height of a ``perturbed_profiles`` candidate.
 MAX_BUMP = 0.1
@@ -43,7 +47,7 @@ class ExponentPair:
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0 < self.beta):
-            raise ValueError(f"need 0 < alpha < 2 < beta, got {self}")
+            raise PreconditionError(f"need 0 < alpha < 2 < beta, got {self}")
 
 
 @dataclass(frozen=True)
@@ -54,61 +58,61 @@ class KeyEstimateCheck:
     margin: float  # rhs - lhs
 
 
-def _pow1(k, lam):
-    """lambda^k - 1, accurate through the double zero at lambda = 1."""
-    return np.expm1(k * np.log(lam))
-
-
-def _aim_factors(lam, al, be):
-    """(2 lam^be - be lam^2 - 2 + be, al lam^2 - 2 lam^al - al + 2), the
-    factors of g1 and of the aim ratio, written as differences lambda^k - 1
-    so that they stay accurate through their double zeros at lambda = 1."""
-    sq = _pow1(2, lam)
-    return 2 * _pow1(be, lam) - be * sq, al * sq - 2 * _pow1(al, lam)
-
-
-def _check_lam(lam, open_right=False):
+def _check_lam(lam):
+    """log lambda; PreconditionError unless every lambda lies in (0, 1]."""
     lam = np.asarray(lam, dtype=float)
-    hi_ok = np.all(lam < 1.0) if open_right else np.all(lam <= 1.0)
-    if np.any(lam <= 0.0) or not hi_ok:
-        raise ValueError(f"lambda must lie in (0, 1{')' if open_right else ']'}, got "
-                         f"smallest {float(np.min(lam))!r}, largest {float(np.max(lam))!r}")
-    return lam
+    if np.any(lam <= 0.0) or np.any(lam > 1.0):
+        raise PreconditionError(f"lambda must lie in (0, 1], got smallest "
+                                f"{float(np.min(lam))!r}, largest {float(np.max(lam))!r}")
+    return np.log(lam)
+
+
+def _aim_ratio(ell, al, be):
+    """(2 lam^be - be lam^2 - 2 + be) / (al lam^2 - 2 lam^al - al + 2) at
+    log lambda = ``ell``, the ratio of g1 and of the aim inequality.
+
+    Both terms vanish to second order at lambda = 1.  Within AIM_SERIES_LOG
+    of it the ratio is its expansion L (1 + (be - al) ell / 3), whose limit
+    L = be (be - 2) / (al (2 - al)) is the value at lambda = 1.
+    """
+    near = np.abs(ell) < AIM_SERIES_LOG
+    sq = np.expm1(2 * ell)
+    num = 2 * np.expm1(be * ell) - be * sq
+    den = np.where(near, 1.0, al * sq - 2 * np.expm1(al * ell))
+    series = be * (be - 2) / (al * (2 - al)) * (1 + (be - al) * ell / 3)
+    return np.where(near, series, num / den)
 
 
 def h_fn(lam, ep: ExponentPair):
     """(2-a)(b-2) - 2b lam^-a + (ab - 2a + 4) lam^-2; >= 0 on (0, 1]."""
-    lam = _check_lam(lam)
-    al, be = ep.alpha, ep.beta
-    return ((2 - al) * (be - 2) - 2 * be * lam ** (-al)
-            + (al * be - 2 * al + 4) * lam ** (-2.0))
+    ell, al, be = _check_lam(lam), ep.alpha, ep.beta
+    return -2 * be * np.expm1(-al * ell) + (al * be - 2 * al + 4) * np.expm1(-2 * ell)
 
 
 def g2_fn(lam, ep: ExponentPair):
-    lam = _check_lam(lam)
-    al, be = ep.alpha, ep.beta
-    return (2 * al * (2 - al) * lam ** be - al * be * (be - al) * lam ** 2
-            + 2 * be * (be - 2) * lam ** al - (2 - al) * (be - 2) * (be - al))
+    """2a(2-a) lam^b - ab(b-a) lam^2 + 2b(b-2) lam^a - (2-a)(b-2)(b-a) <= 0."""
+    ell, al, be = _check_lam(lam), ep.alpha, ep.beta
+    return (2 * al * (2 - al) * np.expm1(be * ell)
+            - al * be * (be - al) * np.expm1(2 * ell)
+            + 2 * be * (be - 2) * np.expm1(al * ell))
 
 
 def g3_fn(lam, ep: ExponentPair):
-    lam = _check_lam(lam)
-    al, be = ep.alpha, ep.beta
-    return (2 - al) * lam ** (be - al) - (be - al) * lam ** (2 - al) + be - 2
+    """(2-a) lam^(b-a) - (b-a) lam^(2-a) + b - 2; >= 0 on (0, 1]."""
+    ell, al, be = _check_lam(lam), ep.alpha, ep.beta
+    return (2 - al) * np.expm1((be - al) * ell) - (be - al) * np.expm1((2 - al) * ell)
 
 
 def g1_fn(lam, ep: ExponentPair):
-    """Stabilized g1; the two double zeros at lambda = 1 are evaluated as
-    differences lambda^k - 1 so the ratio stays accurate near 1."""
-    lam = _check_lam(lam, open_right=True)
-    al, be = ep.alpha, ep.beta
-    u, w = _aim_factors(lam, al, be)
-    if np.any(np.abs(w) < 1e-14):
-        raise ZeroDivisionError("g1 denominator too close to zero: smallest "
-                                f"|w| = {np.min(np.abs(w)):.3g} < 1e-14")
-    c = al * be + 4 - 2 * al - al * be * lam ** (2 - al)
-    term1 = al * u * c / (w * lam ** (be - al))
-    return term1 - be * (2 * be - al * be - 4) - al * be ** 2 / lam ** (be - 2)
+    """a R c lam^(a-b) - b(2b - ab - 4) - a b^2 lam^(2-b) >= 0, with R the
+    ratio ``_aim_ratio`` and c = ab + 4 - 2a - ab lam^(2-a).  Since
+    a R(1) c(1) = 2b(b-2) cancels the constants, it is evaluated as
+    a (R c lam^(a-b) - R(1) c(1)) - a b^2 (lam^(2-b) - 1)."""
+    ell, al, be = _check_lam(lam), ep.alpha, ep.beta
+    c1 = 2 * (2 - al)
+    rc = _aim_ratio(ell, al, be) * (c1 - al * be * np.expm1((2 - al) * ell))
+    return (al * (rc * np.exp((al - be) * ell) - _aim_ratio(0.0, al, be) * c1)
+            - al * be ** 2 * np.expm1((2 - be) * ell))
 
 
 def sample_exponent_pairs(rng: np.random.Generator, count: int) -> list[ExponentPair]:
@@ -122,7 +126,7 @@ def sign_suite(pairs, points: int) -> list[dict]:
     """Worst-case values of h, g1, g2, g3 over a grid of ``points``
     lambdas per pair.
 
-    The grid stays 1e-6 away from both endpoints; claims live on (0, 1).
+    The grid stays 1e-6 away from both endpoints; all four vanish at 1.
     """
     lam_grid = np.linspace(1e-6, 1.0 - 1e-6, points)
     rows = []
@@ -154,7 +158,7 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
     ``report``, by root-finding on the closed-form lambda-dependence
     (K -> omega * mass > 0 as lambda -> 0)."""
     if report.mass <= 0:
-        raise ValueError(f"zero state has no Nehari crossing: mass(v) = "
+        raise PreconditionError(f"zero state has no Nehari crossing: mass(v) = "
                          f"{report.mass:.6g} <= 0")
     if report.nehari > 0:
         raise PreconditionError(f"K(v) must be <= 0, got {report.nehari:.6g}")
@@ -218,18 +222,10 @@ def aim_inequality_margin(report: FunctionalReport, params: Params,
     num = 2 lam0^be - be lam0^2 - 2 + be and
     den = al lam0^2 - 2 lam0^al - al + 2.
 
-    Both vanish to second order at lam0 = 1.  They come from
-    ``_aim_factors``, as in g1; within AIM_SERIES_LOG of lambda = 1
-    the ratio is read from its expansion L (1 + (be - al) log(lam0) / 3),
-    whose limit L = be (be - 2) / (al (2 - al)) is the value at lam0 = 1.
+    The ratio num/den is ``_aim_ratio``, the one g1 reads; its limit at
+    lam0 = 1 is be (be - 2) / (al (2 - al)).
     """
-    al, be = params.alpha, params.beta
-    ell = float(np.log(lam0))
-    if abs(ell) < AIM_SERIES_LOG:
-        ratio = be * (be - 2) / (al * (2 - al)) * (1 + (be - al) * ell / 3)
-    else:
-        num, den = _aim_factors(lam0, al, be)
-        ratio = num / den
+    ratio = float(_aim_ratio(np.log(lam0), params.alpha, params.beta))
     lhs = params.a / (params.p + 1) * report.lp
     rhs = params.b / (params.q + 1) * ratio * report.lq
     return float(rhs - lhs)

@@ -546,6 +546,23 @@ class TestDomain:
                 "domain too short: the profile at rmax = 18 is still")):
             solve_ground_state(params1)
 
+    @pytest.mark.parametrize("sign, shown", [(-1.0, "-1"), (0.0, "0")])
+    def test_collapsed_polish_names_u0(self, params1, monkeypatch, sign,
+                                       shown):
+        # a polish that lands on u = -e^{-ξ} or u = 0 is no ground state: the
+        # solve stops at its amplitude instead of cutting the profile there
+        def collapsed(unit, shot, rmax):
+            def sol(x, nu=0):
+                return sign * (-1.0) ** nu * np.array([np.exp(-x), -np.exp(-x)])
+            return sol, 2001
+
+        monkeypatch.setattr(groundstate, "_bvp_polish", collapsed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=re.escape(
+                    f"BVP polish collapsed: u(0) = {shown} is not above")):
+                solve_ground_state(params1)
+
 
 class TestHigherDimension:
     @staticmethod

@@ -6,10 +6,11 @@ Hand-checked values at (alpha, beta) = (1, 3), lambda = 1/2:
     g2  = 2*0.125 - 6*0.25 + 6*0.5 - 2            = -1/4
     g3  = 1*0.25 - 2*0.5 + 1                      = 1/4
 
-and h, g2, g3 all vanish at lambda = 1 by construction.
+and h, g1, g2, g3 all vanish at lambda = 1 by construction.
 """
 
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ from conftest import gaussian_profile, rescale_to_nehari
 EP13 = ExponentPair(1.0, 3.0)
 
 
+def chain_reference(lam, ep):
+    """h, g1, g2, g3 at ``lam`` from the raw formulas in 50-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, x = Decimal(ep.alpha), Decimal(ep.beta), Decimal(lam)
+        ln = x.ln()
+        pw = lambda k: (k * ln).exp()
+        h = (2 - a) * (b - 2) - 2 * b * pw(-a) + (a * b - 2 * a + 4) * pw(-2)
+        g2 = (2 * a * (2 - a) * pw(b) - a * b * (b - a) * pw(2)
+              + 2 * b * (b - 2) * pw(a) - (2 - a) * (b - 2) * (b - a))
+        g3 = (2 - a) * pw(b - a) - (b - a) * pw(2 - a) + b - 2
+        ratio = (2 * pw(b) - b * pw(2) - 2 + b) / (a * pw(2) - 2 * pw(a) - a + 2)
+        c = a * b + 4 - 2 * a - a * b * pw(2 - a)
+        g1 = (a * ratio * c / pw(b - a) - b * (2 * b - a * b - 4)
+              - a * b * b / pw(b - 2))
+        return float(h), float(g1), float(g2), float(g3)
+
+
 class TestScalarFunctions:
     def test_values_at_half(self):
         assert h_fn(0.5, EP13) == pytest.approx(9.0, abs=1e-12)
@@ -51,6 +70,18 @@ class TestScalarFunctions:
         assert h_fn(1.0, EP13) == pytest.approx(0.0, abs=1e-12)
         assert g2_fn(1.0, EP13) == pytest.approx(0.0, abs=1e-12)
         assert g3_fn(1.0, EP13) == pytest.approx(0.0, abs=1e-12)
+        assert g1_fn(1.0, EP13) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ep", [EP13, ExponentPair(1.929, 5.038)])
+    @pytest.mark.parametrize("lam", [1.0 - 1e-6, 1.0 - 1e-4])
+    def test_chain_near_one_matches_decimal(self, ep, lam):
+        # every function vanishes at 1, so its raw form cancels to rounding
+        # noise next to it; g2 vanishes to third order and keeps only its sign
+        h, g1, g2, g3 = chain_reference(lam, ep)
+        assert h_fn(lam, ep) == pytest.approx(h, rel=1e-10, abs=0.0)
+        assert g1_fn(lam, ep) == pytest.approx(g1, rel=1e-5, abs=0.0)
+        assert g3_fn(lam, ep) == pytest.approx(g3, rel=1e-7, abs=0.0)
+        assert g2 < 0 and g2_fn(lam, ep) == pytest.approx(g2, rel=0.5, abs=0.0)
 
     def test_g1_finite_near_one(self):
         # the raw formula is 0/0 at lambda = 1; the stabilized form must
@@ -58,10 +89,6 @@ class TestScalarFunctions:
         val = g1_fn(1.0 - 1e-6, EP13)
         assert np.isfinite(val)
         assert abs(val) < 1e-3
-
-    def test_g1_rejects_endpoint(self):
-        with pytest.raises(ValueError):
-            g1_fn(1.0, EP13)
 
     def test_domain_checks(self):
         for fn in (h_fn, g2_fn, g3_fn):
@@ -78,24 +105,23 @@ class TestScalarFunctions:
                 "lambda must lie in (0, 1], got smallest 0.2, largest 1.5")):
             g2_fn(np.array([0.2, 1.5]), EP13)
         with pytest.raises(ValueError, match=re.escape(
-                "lambda must lie in (0, 1), got smallest 0.25, largest 1.0")):
-            g1_fn(np.array([0.25, 1.0]), EP13)
-
-    def test_g1_denominator_gate_states_the_value(self):
-        # the denominator vanishes to second order at lambda = 1, so a
-        # distance 1e-8 leaves it near 1e-16, under the 1e-14 gate
-        lam = 1.0 - 1e-8
-        w = lemma_lab._aim_factors(lam, EP13.alpha, EP13.beta)[1]
-        assert abs(w) < 1e-14
-        with pytest.raises(ZeroDivisionError, match=re.escape(
-                f"smallest |w| = {abs(w):.3g} < 1e-14")):
-            g1_fn(np.array([0.5, lam]), EP13)
+                "lambda must lie in (0, 1], got smallest 0.25, largest 1.5")):
+            g1_fn(np.array([0.25, 1.5]), EP13)
 
     def test_exponent_pair_validation(self):
         with pytest.raises(ValueError):
             ExponentPair(2.5, 3.0)
         with pytest.raises(ValueError):
             ExponentPair(1.0, 1.5)
+
+    def test_chain_errors_are_precondition_errors(self, params1):
+        zero = report_from_norms(0.0, 0.0, 0.0, 0.0, params1)
+        for call in (lambda: h_fn(0.0, EP13), lambda: g1_fn(1.5, EP13),
+                     lambda: ExponentPair(2.5, 3.0),
+                     lambda: find_lambda0(zero, params1),
+                     lambda: at_scale(zero, params1, 0.0)):
+            with pytest.raises(PreconditionError):
+                call()
 
 
 class TestSignSuite:
@@ -110,6 +136,14 @@ class TestSignSuite:
             # monotonicity observed on the sampling grid
             assert row["g1_max_increase"] <= 1e-9
             assert row["g3_max_increase"] <= 1e-9
+
+    def test_audit_pairs_hold_without_slack(self):
+        # the verify-lemma pairs of seed 0; every extreme sits at the last
+        # node 1 - 1e-6, where each function is read from lambda^k - 1
+        pairs = sample_exponent_pairs(np.random.default_rng(0), 400)
+        for row in sign_suite(pairs, 10000):
+            assert row["h_min"] >= 0 and row["g1_min"] >= 0
+            assert row["g2_max"] <= 0 and row["g3_min"] >= 0
 
     def test_points_set_the_grid(self):
         (row,) = sign_suite([EP13], 3)
