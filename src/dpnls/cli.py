@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,24 +65,26 @@ def _value(raw: dict, name: str, kind, default=None):
         return default
     try:
         return kind(where[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
 def _whole(value) -> int:
-    """An integer config value: a whole number such as 2 or 2.0."""
+    """An integer config value, a count or a seed: a non-negative whole
+    number such as 2 or 2.0."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    raise ValueError(f"expected a whole number, got {value!r}")
+    raise ValueError(f"expected a non-negative whole number, got {value!r}")
 
 
 def _real(value) -> float:
-    """A real config value: an integer or float, not a bool or a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A finite int or float config value; not a bool, a string, NaN or inf."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and np.isfinite(float(value))):
         return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _floats(values) -> list[float]:
@@ -212,14 +214,13 @@ def cmd_verify_lemma(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
     rng = np.random.default_rng(cfg.seed)
     pairs = lemma_lab.sample_exponent_pairs(rng, cfg.lemma_pairs)
     rows = lemma_lab.sign_suite(pairs, cfg.lemma_lambda_points)
-    write_csv(out / "sign_suite.csv",
-              ["alpha", "beta", "h_min", "g1_min", "g2_max", "g3_min",
-               "g1_max_increase", "g3_max_increase"], rows)
+    write_csv(out / "sign_suite.csv", list(rows[0]), rows)
     sign_ok = lemma_lab.signs_hold(rows)
 
     gs = solve_ground_state(cfg.params)
     checks, ke_ok = lemma_lab.key_estimate_audit(gs, rng, cfg.lemma_samples)
-    write_csv(out / "key_estimate.csv", ["lambda0", "lhs", "rhs", "margin"],
+    write_csv(out / "key_estimate.csv",
+              [f.name for f in fields(lemma_lab.KeyEstimateCheck)],
               [asdict(c) for c in checks])
     write_summary(out / "lemma_summary.json",
                   {"pairs": len(rows), "sign_suite_ok": sign_ok,
@@ -256,11 +257,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
+        if args.seed is not None:
+            cfg.seed = _value(vars(args), "seed", _whole)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     args.out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](cfg, args.out,

@@ -23,14 +23,15 @@ from the same |w|^2 as theta.
 A run starts on the coarsest grid m/2^k that resolves u0 and doubles m,
 zero-padding the spectrum, whenever the tail passes ``REFINE_TAIL``, up to
 u0's own grid.  Even data peak on the node x = 0 of every grid, so sup|u|,
-which the amplitude proxy and the dt control read, is the same on each.
+which the dt control reads, is the same on each.
 
-Finite-time blowup cannot be followed to T_max; it is detected by proxy
-thresholds (``BLOWUP_GRAD_FACTOR`` on the gradient norm,
-``BLOWUP_AMP_FACTOR`` on the amplitude) with a resolution
-monitor that declares a run inconclusive instead of mistaking aliasing
-noise for a singularity.  A run that takes ``MAX_STEPS`` steps before
-t_max stops as inconclusive too.
+Finite-time blowup cannot be followed to T_max; it is detected by one
+proxy, growth of the gradient norm by ``BLOWUP_GRAD_FACTOR``, with a
+resolution monitor that declares a run inconclusive instead of mistaking
+aliasing noise for a singularity.  The gradient bounds the amplitude: by
+the 1D Gagliardo-Nirenberg inequality sup|u|^2 <= ||u||_2 ||grad u||_2 and
+mass conservation, sup|u| cannot grow much before ||grad u|| does.  A run
+that takes ``MAX_STEPS`` steps before t_max stops as inconclusive too.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 import scipy.fft
 
 from .params import ComplexField, MembershipError, Params, PeriodicGrid
-from .functionals import _line_spectrum, raw_norms, report_from_norms
-from .groundstate import GroundStateResult
+from .functionals import (
+    FunctionalReport, _line_spectrum, raw_norms, report_from_norms)
 
 #: Floor of the adaptive step size.
 DT_MIN = 1e-9
@@ -55,8 +56,6 @@ MAX_TAIL_FRACTION = 1e-8
 REFINE_TAIL = 1e-10
 #: Growth of ||grad u|| over its initial value that counts as blowup.
 BLOWUP_GRAD_FACTOR = 50.0
-#: Growth of sup|u| over its initial value that counts as blowup.
-BLOWUP_AMP_FACTOR = 20.0
 #: Factor by which dt shrinks when sup|u| grows by more than 2 % in a step.
 CFL_SHRINK = 0.5
 #: Relative slack of the conserved quantities and the virial bound in
@@ -111,16 +110,18 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class BlowupVerdict:
-    blew_up: bool
     t_detect: float | None
-    # "gradient", "amplitude", "numerical", "resolution", "budget"
-    reason: str | None
+    reason: str | None   # "gradient", "numerical", "resolution", "budget"
     trace: list[TraceRecord]
     final: ComplexField | None
     steps: int
     dt_reductions: int
     dt_min: float   # smallest step size the control reached
     grids: list[tuple[int, int]]   # (m, first step) of each grid used
+
+    @property
+    def blew_up(self) -> bool:
+        return self.reason == "gradient"
 
     @property
     def inconclusive(self) -> bool:
@@ -218,7 +219,6 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
     grad_sq, tail = _line_spectrum(u, stepper.grid)
     grad0 = max(np.sqrt(grad_sq), 1e-300)
     amp = trace[0].sup_amp
-    amp0 = max(amp, 1e-300)
 
     reason = "resolution" if tail > MAX_TAIL_FRACTION else None
     while reason is None and t < cfg.t_max - 1e-12:
@@ -236,7 +236,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         if not (np.isfinite(amp) and np.isfinite(grad_sq)):
             trace.append(TraceRecord(t, np.nan, np.nan, np.nan, np.nan,
                                      np.nan, np.nan, np.nan, np.inf))
-            return BlowupVerdict(False, t, "numerical", trace, None,
+            return BlowupVerdict(t, "numerical", trace, None,
                                  step, reductions, dt, grids)
 
         if tail > REFINE_TAIL and u.size < u0.grid.m:
@@ -249,9 +249,7 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         if step % cfg.record_every == 0:
             trace.append(_record(t, u, stepper.grid, params))
 
-        if amp > BLOWUP_AMP_FACTOR * amp0:
-            reason = "amplitude"
-        elif np.sqrt(grad_sq) > BLOWUP_GRAD_FACTOR * grad0:
+        if np.sqrt(grad_sq) > BLOWUP_GRAD_FACTOR * grad0:
             reason = "gradient"
         elif tail > MAX_TAIL_FRACTION:
             reason = "resolution"
@@ -263,17 +261,23 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
         trace.append(_record(t, u, stepper.grid, params))
     if u.size < u0.grid.m:
         u = _prolong(u, u0.grid.m)
-    return BlowupVerdict(reason in ("amplitude", "gradient"),
-                         None if reason is None else t, reason, trace,
+    return BlowupVerdict(None if reason is None else t, reason, trace,
                          ComplexField(u0.grid, u), step, reductions, dt, grids)
+
+
+def _before_detection(verdict: BlowupVerdict) -> list[TraceRecord]:
+    """The records before detection.  The record at detection time is past
+    the step-size control; conservation there reflects integrator
+    breakdown, not the flow."""
+    stop = verdict.t_detect if verdict.t_detect is not None else np.inf
+    return [rec for rec in verdict.trace if rec.t < stop - 1e-12]
 
 
 def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:
     """Largest relative drift of mass and of energy from the first record,
     over the records before detection; energy relative to max(1, |E(u0)|)."""
     first = verdict.trace[0]
-    stop = verdict.t_detect if verdict.t_detect is not None else np.inf
-    kept = [rec for rec in verdict.trace if rec.t < stop - 1e-12]
+    kept = _before_detection(verdict)
     mass = max((abs(rec.mass - first.mass) for rec in kept), default=0.0)
     energy = max((abs(rec.energy - first.energy) for rec in kept), default=0.0)
     return (mass / max(abs(first.mass), 1e-300),
@@ -333,38 +337,30 @@ def variance_third_difference(trace: list[TraceRecord]) -> float:
 
 
 def b_omega_invariance_audit(verdict: BlowupVerdict,
-                             gs: GroundStateResult) -> bool:
-    """All recorded states stay in the blowup set and obey the virial bound
-    8 Q(u(t)) <= 16 (S(u0) - S(phi)) up to detection.  S(u(t)) is bounded
-    from above only, so a breakdown of conservation shows in the run's
-    energy drift (``conservation_drift``), not in this audit."""
-    if not verdict.trace:
-        return False
+                             ref: FunctionalReport) -> bool:
+    """All records before detection stay in the blowup set of the ground
+    state with report ``ref`` and obey the virial bound
+    8 Q(u(t)) <= 16 (S(u0) - S(phi)).  S(u(t)) is bounded from above only,
+    so a breakdown of conservation shows in the run's energy drift
+    (``conservation_drift``), not in this audit."""
     first = verdict.trace[0]
-    ref = gs.report
     if not in_blowup_set((first.action - ref.action, first.mass - ref.mass,
                           first.nehari, first.virial_q), ref.mass):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
     bound_slack = INVARIANCE_DRIFT * max(1.0, abs(bound))
     scale = max(1.0, abs(ref.action))
-    for rec in verdict.trace:
-        # the record at detection time itself is past the step-size control
-        # horizon; conservation there reflects integrator breakdown, not flow
-        if verdict.t_detect is not None and rec.t >= verdict.t_detect - 1e-12:
-            break
-        ok = (rec.action - ref.action < INVARIANCE_DRIFT * scale
-              and rec.mass - ref.mass <= (MASS_BAND + INVARIANCE_DRIFT) * ref.mass
-              and rec.nehari < 0
-              and rec.virial_q < 0
-              and 8.0 * rec.virial_q <= bound + bound_slack)
-        if not ok:
-            return False
-    return True
+    return all(
+        rec.action - ref.action < INVARIANCE_DRIFT * scale
+        and rec.mass - ref.mass <= (MASS_BAND + INVARIANCE_DRIFT) * ref.mass
+        and rec.nehari < 0 and rec.virial_q < 0
+        and 8.0 * rec.virial_q <= bound + bound_slack
+        for rec in _before_detection(verdict))
 
 
-def concavity_audit(trace: list[TraceRecord], gs: GroundStateResult) -> bool:
-    """Second difference of the variance stays below 16 (S(u0) - S(phi))."""
+def concavity_audit(trace: list[TraceRecord], ref: FunctionalReport) -> bool:
+    """Second difference of the variance stays below 16 (S(u0) - S(phi)),
+    S(phi) the action of ``ref``."""
     d2 = _variance_d2(trace)
-    bound = 16.0 * (trace[0].action - gs.report.action)
+    bound = 16.0 * (trace[0].action - ref.action)
     return bool(np.all(d2 <= bound + CONCAVITY_SLACK * max(1.0, abs(bound))))

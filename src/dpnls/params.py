@@ -75,10 +75,10 @@ class Params:
         if self.N < 1 or self.N != int(self.N):
             raise PreconditionError(
                 f"N must be a positive integer, got {self.N}")
-        if self.a <= 0 or self.b <= 0:
-            raise PreconditionError("coefficients a, b must be positive")
-        if self.omega <= 0:
-            raise PreconditionError("omega must be positive")
+        if not (self.a > 0 and self.b > 0):
+            raise PreconditionError(f"a, b must be positive: a={self.a}, b={self.b}")
+        if not self.omega > 0:
+            raise PreconditionError(f"omega must be positive: omega={self.omega}")
         lo = 1.0 + 4.0 / self.N
         if not (1.0 < self.p < lo < self.q):
             raise PreconditionError(

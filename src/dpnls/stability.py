@@ -33,7 +33,7 @@ from .evolution import (
     b_omega_invariance_audit, concavity_audit, conservation_drift, evolve,
     in_blowup_set, uniform_prefix, virial_check)
 
-#: d2s <= CRITERION_BAND * S counts as "<= 0" (equality is admissible).
+#: ``classify``'s one band: a value within CRITERION_BAND * |S| of 0 is 0.
 CRITERION_BAND = 1e-8
 
 
@@ -72,19 +72,14 @@ def remark13_decomposition(report: FunctionalReport,
 
 
 def classify(gs: GroundStateResult) -> StabilityReport:
-    """Evaluate the instability criterion and the positive-energy check."""
+    """The criterion d2s <= band and the remark-13 checks (E > band forces
+    d2s < -band; the parts sum to d2s), one band = CRITERION_BAND * |S|."""
     _check_identities(gs.report)
     r, params = gs.report, gs.params
-    d2s = r.d2s
-    met = d2s <= CRITERION_BAND * abs(r.action)
-    tol = CRITERION_BAND * max(1.0, abs(r.action))
-    consistent = True
-    if r.energy > tol and not (d2s < -tol):
-        consistent = False
-    parts = remark13_decomposition(r, params)
-    if abs(sum(parts) - d2s) > 1e-8 * max(1.0, abs(d2s)):
-        consistent = False
-    return StabilityReport(params.omega, d2s, r.energy, met, consistent)
+    band = CRITERION_BAND * abs(r.action)
+    consistent = (not (r.energy > band and r.d2s >= -band)
+                  and abs(sum(remark13_decomposition(r, params)) - r.d2s) <= band)
+    return StabilityReport(params.omega, r.d2s, r.energy, r.d2s <= band, consistent)
 
 
 def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
@@ -151,8 +146,8 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "blew_up": verdict.blew_up,
         "t_detect": verdict.t_detect,
         "reason": verdict.reason or "",
-        "invariance_audit": b_omega_invariance_audit(verdict, gs),
-        "concavity_audit": concavity_audit(uni, gs) if audited else None,
+        "invariance_audit": b_omega_invariance_audit(verdict, gs.report),
+        "concavity_audit": concavity_audit(uni, gs.report) if audited else None,
         "virial_mismatch": virial_check(uni) if audited else None,
         "steps": verdict.steps,
         "dt_reductions": verdict.dt_reductions,

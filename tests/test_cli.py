@@ -83,6 +83,12 @@ class TestConfig:
         ({"sweeps": {"omegas": ["1.0"]}}, "sweeps.omegas"),
         ({"evolution": {"cfl_shrink": 0.5}}, "cfl_shrink"),
         ({"evolution": {"blowup_grad_factor": 10.0}}, "blowup_grad_factor"),
+        ({"params": {**BASE, "omega": float("nan")}}, "params.omega"),
+        ({"params": {**BASE, "a": float("inf"), "omega": 1.0}}, "params.a"),
+        ({"sweeps": {"omegas": [1.0, float("nan"), 2.0]}}, "sweeps.omegas"),
+        ({"evolution": {"dt": float("inf")}}, "evolution.dt"),
+        ({"evolution": {"length": -float("inf")}}, "evolution.length"),
+        ({"seed": -1}, "seed"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):
@@ -97,6 +103,15 @@ class TestConfig:
                    "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, monkeypatch):
+        # --seed is checked like the config's seed, before any solve
+        monkeypatch.setattr(cli, "solve_ground_state", None)
+        path = write_config(tmp_path / "c.json")
+        assert run("verify-lemma", "--config", path, "--out", tmp_path / "o",
+                   "--seed", -3) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
 
     def test_integer_keys_accept_whole_floats(self, tmp_path):
         path = write_config(
@@ -249,7 +264,7 @@ class TestClassifyCommand:
         assert run("classify", "--config", path, "--out", out,
                    "--no-timestamp") == 0
         row = (out / "classify.csv").read_text().splitlines()[1]
-        assert row.endswith("error: omega must be positive")
+        assert row.endswith("error: omega must be positive: omega=-0.5")
         # every number, the solver diagnostics included, is NaN
         assert row.startswith("-0.5,nan,nan,nan,nan,false,nan,nan,nan,nan,")
 

@@ -226,13 +226,21 @@ class TestBlowup:
         assert not verdict.inconclusive
         assert verdict.steps > 0 and verdict.dt_reductions >= 1
 
+    def test_amplitude_bounded_by_gradient(self, blowup_run):
+        # the 1D Gagliardo-Nirenberg inequality sup|u|^2 <= ||u|| ||grad u||,
+        # on which the gradient proxy's standing as the one detector rests
+        _, verdict = blowup_run
+        for rec in verdict.trace:
+            bound = np.sqrt(rec.mass * rec.grad_norm_sq)
+            assert rec.sup_amp ** 2 <= (1 + 1e-12) * bound, rec.t
+
     def test_invariance_audit(self, blowup_run, gs1):
         _, verdict = blowup_run
-        assert b_omega_invariance_audit(verdict, gs1)
+        assert b_omega_invariance_audit(verdict, gs1.report)
 
     def test_concavity_audit(self, blowup_run, gs1):
         _, verdict = blowup_run
-        assert concavity_audit(uniform_prefix(verdict.trace), gs1)
+        assert concavity_audit(uniform_prefix(verdict.trace), gs1.report)
 
     def test_grid_ladder(self, blowup_run):
         u0, verdict = blowup_run
@@ -255,7 +263,7 @@ class TestBlowup:
                          EvolutionConfig(dt=1e-3, t_max=5e-3, record_every=1))
         assert verdict.trace[0].action > gs_half.report.action
         with pytest.raises(MembershipError, match="did not start inside"):
-            b_omega_invariance_audit(verdict, gs_half)
+            b_omega_invariance_audit(verdict, gs_half.report)
 
     def test_under_resolved_run_is_inconclusive(self, gs1):
         grid = PeriodicGrid(32.0, 512)

@@ -6,13 +6,15 @@ curve): the criterion d2s <= 0 holds at omega = 1 and omega = 10, fails
 at omega = 0.5, and the omega = 10 state has positive energy.
 """
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
 from dpnls.evolution import EvolutionConfig
-from dpnls.functionals import at_scale, functionals
+from dpnls.functionals import FunctionalReport, at_scale, functionals
 from dpnls.groundstate import first_integral_report
 from dpnls import stability
 from dpnls.stability import (
@@ -52,6 +54,16 @@ class TestClassification:
         assert rep.criterion_met and rep.d2s < 0
         assert rep.remark13_consistent
 
+    def test_band_scales_with_the_state(self, gs10):
+        # d2s of the wrong sign at E > 0 breaks both remark-13 checks; the
+        # one band is relative to |S|, so every norm times 1e-30 (|S| far
+        # below 1) changes no verdict
+        flipped = replace(gs10.report, d2s=-gs10.report.d2s)
+        tiny = FunctionalReport(*(1e-30 * x for x in astuple(flipped)))
+        reps = [classify(replace(gs10, report=r)) for r in (flipped, tiny)]
+        assert [(r.criterion_met, r.remark13_consistent) for r in reps] == [
+            (False, False), (False, False)]
+
     def test_decomposition_sums_to_d2s(self, gs1):
         parts = remark13_decomposition(gs1.report, gs1.params)
         assert sum(parts) == pytest.approx(gs1.report.d2s, abs=1e-8)
@@ -70,6 +82,13 @@ class TestClassification:
         assert [r["status"] for r in rows] == ["ok", "ok"]
         assert rows[1]["criterion_met"] and not rows[0]["criterion_met"]
         assert rows[1]["amplitude"] == gs1.amplitude
+
+
+    def test_nan_omega_is_an_error_row(self, params1):
+        # NaN fails "omega > 0"; no solve is attempted
+        (row,) = omega_sweep(params1, [float("nan")])
+        assert row["status"] == "error: omega must be positive: omega=nan"
+        assert np.isnan(row["d2s"]) and row["criterion_met"] is False
 
 
 class TestFirstIntegralOracle:
