@@ -173,7 +173,6 @@ def cmd_groundstate(cfg: ExperimentConfig, out: Path, timestamp: bool) -> int:
         "amplitude": gs.amplitude,
         "residual": gs.residual,
         "unit_residual": gs.unit_residual,
-        "decay_rate": gs.decay_rate,
         "bracket_lo": gs.bracket[0],
         "bracket_hi": gs.bracket[1],
         "diagnostics": asdict(gs.diagnostics),

@@ -31,7 +31,6 @@ from .params import (
     RadialGrid,
     RadialProfile,
     ResolutionError,
-    TailError,
 )
 from .functionals import FunctionalReport, functionals, report_from_norms
 
@@ -78,7 +77,6 @@ class GroundStateResult:
     report: FunctionalReport
     residual: float             # stationary residual of φ in r
     unit_residual: float        # the same of u in ξ: residual / (ω s0)
-    decay_rate: float
     amplitude: float            # φ(0)
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
@@ -337,13 +335,10 @@ def solve_ground_state(params: Params) -> GroundStateResult:
     report = functionals(profile, params)
     _check_identities(report)
 
-    rate = decay_fit(profile)
-
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
                                    extension)
     return GroundStateResult(profile, params, report, residual, unit_residual,
-                             rate, float(s0 * u[0]), (s0 * lo, s0 * hi),
-                             diagnostics)
+                             float(s0 * u[0]), (s0 * lo, s0 * hi), diagnostics)
 
 
 def residual_norm(profile: RadialProfile, params: Params) -> float:
@@ -360,20 +355,6 @@ def residual_norm(profile: RadialProfile, params: Params) -> float:
     d2_0 = 2.0 * (phi[1] - phi[0]) / h ** 2   # φ'(0) = 0 ghost node
     res0 = -params.N * d2_0 - force(phi[0])
     return float(max(np.max(np.abs(res)), abs(res0)))
-
-
-def decay_fit(profile: RadialProfile) -> float:
-    """Negated least-squares slope of log φ over the tail window (≈ sqrt(ω))."""
-    n = profile.grid.n
-    window = slice(max(0, n - max(n // 5, 3)), n)
-    vals = profile.values[window]
-    if np.any(vals <= 0):
-        raise TailError(f"nonpositive tail window, smallest {np.min(vals):.3g}")
-    r = profile.grid.r[window]
-    slope = np.polyfit(r, np.log(vals), 1)[0]
-    if slope >= 0:
-        raise TailError(f"tail window is not decaying: log-slope {slope:.3g} >= 0")
-    return float(-slope)
 
 
 def first_integral_amplitude(params: Params) -> float:

@@ -26,8 +26,6 @@ from .functionals import (
 from .groundstate import GroundStateResult
 
 
-#: A sign-suite extreme within this of zero counts as having the claimed sign.
-SIGN_SLACK = 1e-9
 #: Below this |log lambda| the ratio shared by g1 and the aim inequality
 #: comes from its first-order expansion.  At the switch, for alpha in
 #: [0.05, 1.95] and beta in [2.05, 6], the expansion's truncation error and
@@ -147,10 +145,10 @@ def sign_suite(pairs, points: int) -> list[dict]:
 
 def signs_hold(rows) -> bool:
     """h >= 0, g1 >= 0, g2 <= 0 and g3 >= 0 on every ``sign_suite`` row,
-    each up to SIGN_SLACK."""
-    return all(r["h_min"] >= -SIGN_SLACK and r["g1_min"] >= -SIGN_SLACK
-               and r["g2_max"] <= SIGN_SLACK and r["g3_min"] >= -SIGN_SLACK
-               for r in rows)
+    exactly, with no slack: each is read from expm1 terms that vanish at
+    lambda = 1 by construction, so a wrong sign next to 1 is not rounding."""
+    return all(r["h_min"] >= 0 and r["g1_min"] >= 0
+               and r["g2_max"] <= 0 and r["g3_min"] >= 0 for r in rows)
 
 
 def find_lambda0(report: FunctionalReport, params: Params) -> float:
@@ -266,7 +264,7 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
 
     A kept state that fails a step of the proof's chain raises
     PreconditionError; ``ok`` means ``samples`` states were kept and every
-    margin is >= -1e-8 max(1, |rhs|).
+    margin is >= -1e-8 |rhs|, a band relative to the estimate's own size.
     """
     checks = []
     for _ in range(3 * samples):
@@ -280,5 +278,5 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
         if len(checks) == samples:
             break
     ok = len(checks) == samples and all(
-        c.margin >= -1e-8 * max(1.0, abs(c.rhs)) for c in checks)
+        c.margin >= -1e-8 * abs(c.rhs) for c in checks)
     return checks, ok

@@ -31,10 +31,6 @@ class CertificationError(ValueError):
     """Ground-state identities not satisfied to tolerance."""
 
 
-class TailError(ValueError):
-    """Profile tail is contaminated (nonpositive values) for decay fitting."""
-
-
 class MembershipError(ValueError):
     """Constructed state failed the blowup-set membership check."""
 
@@ -43,10 +39,11 @@ class PreconditionError(ValueError):
     """A documented hypothesis of the operation is violated."""
 
 
-#: Every error class above.  A sweep records these as the status of the one
-#: item that raised them and keeps going; anything else is a program fault.
+#: Every error class above, each raised somewhere in the package.  A sweep
+#: records these as the status of the one item that raised them and keeps
+#: going; anything else is a program fault.
 ERRORS = (InvalidStateError, ResolutionError, NoBracketError, ConvergenceError,
-          CertificationError, TailError, MembershipError, PreconditionError)
+          CertificationError, MembershipError, PreconditionError)
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def test_criterion_4_key_estimate(gs1):
         except PreconditionError:
             continue
         kept += 1
-        ok &= chk.margin >= -1e-8 * max(1.0, abs(chk.rhs))
+        ok &= chk.margin >= -1e-8 * abs(chk.rhs)
     ok &= kept >= 200
     _verdict(f"criterion 4: key estimate on {kept} filtered states", ok)
 

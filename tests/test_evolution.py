@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpnls.params import ComplexField, MembershipError, Params, PeriodicGrid
-from dpnls.functionals import _line_spectrum, functionals
+from dpnls.functionals import FunctionalReport, _line_spectrum, functionals
 from dpnls.stability import _embed, make_scaled_data
 from dpnls import evolution
 from dpnls.evolution import (
+    AUDIT_MIN_RECORDS,
+    BlowupVerdict,
     EvolutionConfig,
+    TraceRecord,
     b_omega_invariance_audit,
     concavity_audit,
     evolve,
@@ -272,6 +275,39 @@ class TestBlowup:
         verdict = evolve(u0, gs1.params, cfg)
         assert verdict.reason in ("resolution", "numerical")
         assert verdict.inconclusive
+
+
+def synthetic_record(t, action, variance=0.0):
+    """A trace record of unit mass with K < 0 and Q < 0, 8 Q far below any
+    virial bound the tests use."""
+    return TraceRecord(t, 1.0, 0.0, action, -1.0, -1.0, 1.0, variance, 1.0)
+
+
+def synthetic_reference(action):
+    """A reference report of unit mass and the given action S(phi)."""
+    return FunctionalReport(1.0, 1.0, 1.0, 1.0, 0.0, action, 0.0, 0.0, 0.0,
+                            0.0)
+
+
+class TestAuditBands:
+    """The audit slacks are relative to the bound or action they guard, so
+    each audit fails on a violation smaller than 1 in absolute terms."""
+
+    def test_concavity_rejects_convex_variance_below_unit_bound(self):
+        # V(t) = 0.0025 t^2 has second difference +0.005 against the bound
+        # 16 (S(u0) - S(phi)) = -0.0032
+        trace = [synthetic_record(t, 0.0, variance=0.0025 * t ** 2)
+                 for t in range(AUDIT_MIN_RECORDS + 2)]
+        assert not concavity_audit(trace, synthetic_reference(2e-4))
+
+    def test_invariance_rejects_action_above_small_ground_state(self):
+        # S(phi) = 1e-3: the second record leaves the blowup set by
+        # S(u) - S(phi) = +5e-7, 500 times the slack 1e-6 |S(phi)|
+        ref = synthetic_reference(1e-3)
+        trace = [synthetic_record(0.0, 0.9e-3),
+                 synthetic_record(1.0, 1e-3 + 5e-7)]
+        verdict = BlowupVerdict(None, None, trace, None, 1, 0, 1.0, [])
+        assert not b_omega_invariance_audit(verdict, ref)
 
 
 class TestConfigValidation:

@@ -32,7 +32,6 @@ from dpnls.params import (
     RadialGrid,
     RadialProfile,
     ResolutionError,
-    TailError,
 )
 from dpnls.functionals import functionals
 from dpnls.groundstate import (
@@ -43,7 +42,6 @@ from dpnls.groundstate import (
     RESIDUAL_TOL,
     SHOT_RTOL,
     amplitude_floor,
-    decay_fit,
     find_bracket,
     first_integral_amplitude,
     first_integral_report,
@@ -252,13 +250,6 @@ class TestCertificates:
 
     def test_residual_small(self, gs1):
         assert gs1.residual <= 1e-8
-
-    def test_decay_rate_near_sqrt_omega(self, gs1):
-        assert 0.9 <= gs1.decay_rate <= 1.1
-
-    def test_decay_rate_scales(self):
-        gs = solve_ground_state(Params(omega=4.0, **BASE))
-        assert gs.decay_rate == pytest.approx(2.0, rel=0.1)
 
     def test_failure_states_ratio_gate_and_action(self, gs1):
         action = abs(gs1.report.action)
@@ -513,29 +504,6 @@ class TestShooting:
             solve_ground_state(params)
 
 
-class TestDecayFit:
-    def test_pure_exponential(self):
-        grid = RadialGrid(30.0, 3001)
-        vals = np.exp(-2.0 * grid.r)
-        prof = RadialProfile(grid, vals, -2.0 * vals)
-        assert decay_fit(prof) == pytest.approx(2.0, abs=1e-6)
-
-    def test_rejects_growing_tail(self):
-        grid = RadialGrid(10.0, 1001)
-        vals = np.exp(0.3 * grid.r)
-        prof = RadialProfile(grid, vals, 0.3 * vals)
-        with pytest.raises(TailError, match=r"log-slope 0\.3 >= 0"):
-            decay_fit(prof)
-
-    def test_rejects_nonpositive_tail(self):
-        grid = RadialGrid(10.0, 1001)
-        vals = np.exp(-grid.r)
-        vals[-3] = -2.5e-4
-        prof = RadialProfile(grid, vals, -vals)
-        with pytest.raises(TailError, match=r"smallest -0\.00025"):
-            decay_fit(prof)
-
-
 class TestDomain:
     def test_short_domain_names_the_tail(self, params1, monkeypatch):
         # e^{-18} is far above the tail threshold, so three solves on
@@ -576,7 +544,6 @@ class TestHigherDimension:
         params = Params(N=2, a=1.0, b=1.0, p=2.0, q=4.0, omega=1.0)
         gs = solve_ground_state(params)
         self.assert_certified(gs)
-        assert gs.decay_rate == pytest.approx(1.0, rel=0.1)
 
     @pytest.mark.parametrize("N, p, q, omega", [
         (2, 1.5, 4.0, 1.0),

@@ -35,6 +35,7 @@ from dpnls.lemma_lab import (
     perturbed_profiles,
     sample_exponent_pairs,
     sign_suite,
+    signs_hold,
 )
 
 from conftest import gaussian_profile, rescale_to_nehari
@@ -129,10 +130,10 @@ class TestSignSuite:
         rng = np.random.default_rng(7)
         rows = sign_suite(sample_exponent_pairs(rng, 100), 10000)
         for row in rows:
-            assert row["h_min"] >= -1e-9
-            assert row["g1_min"] >= -1e-9
-            assert row["g2_max"] <= 1e-9
-            assert row["g3_min"] >= -1e-9
+            assert row["h_min"] >= 0
+            assert row["g1_min"] >= 0
+            assert row["g2_max"] <= 0
+            assert row["g3_min"] >= 0
             # monotonicity observed on the sampling grid
             assert row["g1_max_increase"] <= 1e-9
             assert row["g3_max_increase"] <= 1e-9
@@ -144,6 +145,11 @@ class TestSignSuite:
         for row in sign_suite(pairs, 10000):
             assert row["h_min"] >= 0 and row["g1_min"] >= 0
             assert row["g2_max"] <= 0 and row["g3_min"] >= 0
+
+    def test_signs_hold_without_slack(self):
+        row = {"h_min": 0.0, "g1_min": 0.0, "g2_max": 0.0, "g3_min": 0.0}
+        assert signs_hold([row])
+        assert not signs_hold([dict(row, g2_max=1e-12)])
 
     def test_points_set_the_grid(self):
         (row,) = sign_suite([EP13], 3)
@@ -251,7 +257,7 @@ class TestKeyEstimate:
         rep = at_scale(gs1.report, gs1.params, lam)
         chk = key_estimate_check(rep, gs1)
         assert chk.lhs < 0  # Q(phi^lam) < 0 in this regime
-        assert chk.margin >= -1e-12 * max(1.0, abs(chk.rhs))
+        assert chk.margin >= -1e-12 * abs(chk.rhs)
         assert 0 < chk.lambda0 < 1
 
     def test_equality_at_lambda_one(self, gs1):
@@ -270,7 +276,7 @@ class TestKeyEstimate:
             except PreconditionError:
                 continue
             kept += 1
-            assert chk.margin >= -1e-8 * max(1.0, abs(chk.rhs))
+            assert chk.margin >= -1e-8 * abs(chk.rhs)
         assert kept >= 10
 
     @pytest.mark.parametrize("N, p, q", [(1, 3.0, 7.0), (2, 2.0, 4.0),
@@ -322,6 +328,17 @@ class TestKeyEstimate:
         monkeypatch.setattr(lemma_lab, "check_hypotheses", reject)
         checks, ok = key_estimate_audit(gs1, np.random.default_rng(0), 2)
         assert checks == [] and ok is False
+
+    def test_audit_band_is_relative_to_rhs(self, gs1, monkeypatch):
+        # margin -1e-11 on rhs = -1e-5 is a millionth of |rhs|, 100 times
+        # the band 1e-8 |rhs|
+        monkeypatch.setattr(lemma_lab, "check_hypotheses",
+                            lambda report, gs: None)
+        monkeypatch.setattr(lemma_lab, "key_estimate_check",
+                            lambda report, gs: lemma_lab.KeyEstimateCheck(
+                                0.5, -1e-5 + 1e-11, -1e-5, -1e-11))
+        checks, ok = key_estimate_audit(gs1, np.random.default_rng(0), 2)
+        assert len(checks) == 2 and ok is False
 
 
 class TestAimInequality:
