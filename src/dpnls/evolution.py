@@ -92,10 +92,10 @@ class EvolutionConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        if not (self.dt > 0 and self.t_max > 0):
+            raise ValueError(f"dt and t_max must be positive, got {self}")
+        if not self.record_every >= 1:
+            raise ValueError(f"record_every must be at least 1, got {self}")
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def at_scale(report: FunctionalReport, params: Params, lam) -> FunctionalReport:
     and lambda^beta.  An array ``lam`` gives array-valued fields.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise PreconditionError(f"lambda must be positive, got smallest "
                          f"{float(np.min(lam))!r}")
     return report_from_norms(report.mass, lam ** 2 * report.grad,

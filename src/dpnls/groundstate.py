@@ -70,7 +70,9 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """Certified ground state with its functional report and diagnostics."""
+    """Ground state with its functional report and diagnostics, certified
+    when built, by the solver or by ``dataclasses.replace``: both residuals
+    within RESIDUAL_TOL, |K| and |Q| within IDENTITY_RTOL of |S|."""
 
     profile: RadialProfile
     params: Params
@@ -80,6 +82,20 @@ class GroundStateResult:
     amplitude: float            # φ(0)
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
+
+    def __post_init__(self):
+        if not (self.residual <= RESIDUAL_TOL
+                and self.unit_residual <= RESIDUAL_TOL):
+            raise ConvergenceError(
+                f"stationary residual {self.residual:.2e} (normalised "
+                f"{self.unit_residual:.2e}) above {RESIDUAL_TOL:.0e}")
+        action = abs(self.report.action)
+        for name in ("nehari", "virial"):
+            val = abs(getattr(self.report, name))
+            if not val <= IDENTITY_RTOL * action:
+                raise CertificationError(
+                    f"|{name}| / |S| = {val / action:.2e} exceeds "
+                    f"IDENTITY_RTOL = {IDENTITY_RTOL:.0e} (|S| = {action:.6g})")
 
     def resample(self, r: np.ndarray) -> np.ndarray:
         """φ at arbitrary radii, zero outside [0, rmax], from a cubic spline
@@ -246,7 +262,7 @@ def _bvp_polish(params: Params, shot, rmax: float):
     # midpoint of this mesh, where the collocation residual vanishes by
     # construction; the residual gate reads about 1e-13 only because of
     # that, so the domain extensions cannot give way to one long domain
-    # until the residual is read between the nodes (ROADMAP item 3)
+    # until the residual is read between the nodes (ROADMAP item 2)
     x0 = np.linspace(0.0, rmax, 2001)
     # the shot record (ξ, y) as initial guess, up to the step before the
     # one that decides it, where u >= 0, then an exponential tail; a record
@@ -276,24 +292,13 @@ def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
     return float(max(np.max(np.abs(res)), abs(res0)))
 
 
-def _check_identities(report: FunctionalReport):
-    """Raise CertificationError unless |K| and |Q| are within IDENTITY_RTOL
-    of |S|, the absolute action."""
-    action = abs(report.action)
-    for name, val in (("nehari", report.nehari), ("virial", report.virial)):
-        if abs(val) > IDENTITY_RTOL * action:
-            raise CertificationError(
-                f"|{name}| / |S| = {abs(val) / action:.2e} exceeds "
-                f"IDENTITY_RTOL = {IDENTITY_RTOL:.0e} (|S| = {action:.6g})")
-
-
 def solve_ground_state(params: Params) -> GroundStateResult:
     """Shoot + polish + certify a positive decaying ground state.
 
     The shots and the polish solve for u = φ/s0 in ξ = √ω r.  The shots run
     until they decide; the polish alone has a domain, the ξ-grid, and every
     domain attempt polishes the same last bisection shot.  The truncated
-    profile is mapped back to r once, where it is certified."""
+    profile is mapped back to r once, where the result certifies itself."""
     s0, unit = _normalised(params)
     grid = RadialGrid(DOMAIN_LENGTH, int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
     sw = np.sqrt(params.omega)
@@ -321,23 +326,13 @@ def solve_ground_state(params: Params) -> GroundStateResult:
             f"still {abs(u[-1]) / u[0]:.2e} of its peak (need < "
             f"{TAIL_FRACTION:.0e}) after {extension} domain extensions")
 
-    # the r-residual is ω s0 times the normalised one; the gate holds both,
-    # so a state of tiny amplitude is not certified by its scale alone
     unit_residual = _equation_residual(sol, unit, grid.r[:cut])
-    residual = params.omega * s0 * unit_residual
-    if max(residual, unit_residual) > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"stationary residual {residual:.2e} (normalised "
-            f"{unit_residual:.2e}) above {RESIDUAL_TOL:.0e}")
-
     profile = RadialProfile(RadialGrid(grid.r[cut - 1] / sw, cut),
                             s0 * u[:cut], s0 * sw * du[:cut])
-    report = functionals(profile, params)
-    _check_identities(report)
-
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
                                    extension)
-    return GroundStateResult(profile, params, report, residual, unit_residual,
+    return GroundStateResult(profile, params, functionals(profile, params),
+                             params.omega * s0 * unit_residual, unit_residual,
                              float(s0 * u[0]), (s0 * lo, s0 * hi), diagnostics)
 
 

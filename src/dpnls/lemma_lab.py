@@ -26,11 +26,13 @@ from .functionals import (
 from .groundstate import GroundStateResult
 
 
+#: Relative slack of both chain steps of the key estimate and of its margin.
+CHAIN_RTOL = 1e-8
 #: Below this |log lambda| the ratio shared by g1 and the aim inequality
 #: comes from its first-order expansion.  At the switch, for alpha in
 #: [0.05, 1.95] and beta in [2.05, 6], the expansion's truncation error and
-#: the rounding of the differences are each below 2e-9 relative, under the
-#: 1e-8 chain slack.
+#: the rounding of the differences are each below 2e-9 relative, under
+#: CHAIN_RTOL.
 AIM_SERIES_LOG = 1e-5
 #: Largest relative bump height of a ``perturbed_profiles`` candidate.
 MAX_BUMP = 0.1
@@ -59,7 +61,7 @@ class KeyEstimateCheck:
 def _check_lam(lam):
     """log lambda; PreconditionError unless every lambda lies in (0, 1]."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0) or np.any(lam > 1.0):
+    if not np.all((lam > 0.0) & (lam <= 1.0)):
         raise PreconditionError(f"lambda must lie in (0, 1], got smallest "
                                 f"{float(np.min(lam))!r}, largest {float(np.max(lam))!r}")
     return np.log(lam)
@@ -160,8 +162,6 @@ def find_lambda0(report: FunctionalReport, params: Params) -> float:
                          f"{report.mass:.6g} <= 0")
     if report.nehari > 0:
         raise PreconditionError(f"K(v) must be <= 0, got {report.nehari:.6g}")
-    if report.nehari == 0.0:
-        return 1.0
     k = lambda lam: float(at_scale(report, params, lam).nehari)
     lo = 0.5
     while k(lo) <= 0:
@@ -200,13 +200,13 @@ def key_estimate_check(report: FunctionalReport,
     lhs = report.virial / 2.0
     rhs = report.action - gs.report.action
     aim = aim_inequality_margin(report, params, lam0)
-    if aim < -1e-8 * abs(params.a / (params.p + 1) * report.lp):
+    if aim < -CHAIN_RTOL * abs(params.a / (params.p + 1) * report.lp):
         raise PreconditionError(
             f"chain step violated: aim inequality margin {aim:.6g} < 0 "
             f"at lambda_0 = {lam0:.6g}")
     s_at_lam0 = float(at_scale(report, params, lam0).action)
     scale = max(abs(gs.report.action), abs(s_at_lam0))
-    if gs.report.action > s_at_lam0 + 1e-8 * scale:
+    if gs.report.action > s_at_lam0 + CHAIN_RTOL * scale:
         raise PreconditionError(
             f"chain step violated: S(phi) = {gs.report.action:.6g} > "
             f"S(v^lam0) = {s_at_lam0:.6g}")
@@ -264,7 +264,7 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
 
     A kept state that fails a step of the proof's chain raises
     PreconditionError; ``ok`` means ``samples`` states were kept and every
-    margin is >= -1e-8 |rhs|, a band relative to the estimate's own size.
+    margin is >= -CHAIN_RTOL |rhs|, relative to the estimate's own size.
     """
     checks = []
     for _ in range(3 * samples):
@@ -278,5 +278,5 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
         if len(checks) == samples:
             break
     ok = len(checks) == samples and all(
-        c.margin >= -1e-8 * abs(c.rhs) for c in checks)
+        c.margin >= -CHAIN_RTOL * abs(c.rhs) for c in checks)
     return checks, ok

@@ -69,7 +69,7 @@ class Params:
     def __post_init__(self):
         if not self._validate:
             return
-        if self.N < 1 or self.N != int(self.N):
+        if not (self.N >= 1 and float(self.N).is_integer()):
             raise PreconditionError(
                 f"N must be a positive integer, got {self.N}")
         if not (self.a > 0 and self.b > 0):
@@ -112,10 +112,10 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if self.rmax <= 0:
-            raise ValueError("rmax must be positive")
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
+        if not self.rmax > 0:
+            raise ValueError(f"rmax must be positive, got {self.rmax!r}")
+        if not self.n >= 2:
+            raise ValueError(f"need at least 2 nodes, got {self.n!r}")
 
     @property
     def spacing(self) -> float:
@@ -134,10 +134,10 @@ class PeriodicGrid:
     m: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        if self.m < 2:
-            raise ValueError("need at least 2 nodes")
+        if not self.length > 0:
+            raise ValueError(f"length must be positive, got {self.length!r}")
+        if not self.m >= 2:
+            raise ValueError(f"need at least 2 nodes, got {self.m!r}")
 
     @property
     def spacing(self) -> float:

@@ -26,8 +26,7 @@ from .params import (
     ResolutionError,
 )
 from .functionals import FunctionalReport, _line_spectrum, functionals
-from .groundstate import (
-    GroundStateResult, SolveDiagnostics, _check_identities, solve_ground_state)
+from .groundstate import GroundStateResult, SolveDiagnostics, solve_ground_state
 from .evolution import (
     AUDIT_MIN_RECORDS, MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig,
     b_omega_invariance_audit, concavity_audit, conservation_drift, evolve,
@@ -73,8 +72,8 @@ def remark13_decomposition(report: FunctionalReport,
 
 def classify(gs: GroundStateResult) -> StabilityReport:
     """The criterion d2s <= band and the remark-13 checks (E > band forces
-    d2s < -band; the parts sum to d2s), one band = CRITERION_BAND * |S|."""
-    _check_identities(gs.report)
+    d2s < -band; the parts sum to d2s), one band = CRITERION_BAND * |S|.
+    ``gs`` certified itself when it was built."""
     r, params = gs.report, gs.params
     band = CRITERION_BAND * abs(r.action)
     consistent = (not (r.energy > band and r.d2s >= -band)
@@ -112,8 +111,8 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
 
     Verifies resolution and then blowup-set membership before returning.
     """
-    if lam <= 1.0:
-        raise PreconditionError("lambda must exceed 1")
+    if not 1.0 < lam < np.inf:
+        raise PreconditionError(f"lambda must be finite and exceed 1, got {lam!r}")
     u0 = _embed(gs, lam, grid)
     verdict = in_b_omega(u0, gs)
     if not verdict.in_set:

@@ -316,3 +316,7 @@ class TestConfigValidation:
             EvolutionConfig(dt=0.0, t_max=1.0)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=1e-3, t_max=-1.0)
+        with pytest.raises(ValueError, match=r"\(dt=nan, t_max=1\.0,"):
+            EvolutionConfig(dt=float("nan"), t_max=1.0)
+        with pytest.raises(ValueError, match=r"\(dt=0\.001, t_max=nan,"):
+            EvolutionConfig(dt=1e-3, t_max=float("nan"))

@@ -10,6 +10,7 @@ from dpnls.params import (
     InvalidStateError,
     Params,
     PeriodicGrid,
+    PreconditionError,
     RadialGrid,
     RadialProfile,
 )
@@ -28,6 +29,22 @@ SQRT_PI = np.sqrt(np.pi)
 def gauss_integral(k):
     """Closed-form oracle: integral of exp(-k x^2) over the line."""
     return np.sqrt(np.pi / k)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RadialGrid(np.nan, 10), ValueError,
+     "rmax must be positive, got nan"),
+    (lambda: PeriodicGrid(np.nan, 16), ValueError,
+     "length must be positive, got nan"),
+    (lambda: Params(np.nan, 1.0, 1.0, 3.0, 7.0, 1.0), PreconditionError,
+     "N must be a positive integer, got nan"),
+    (lambda: Params(np.inf, 1.0, 1.0, 3.0, 7.0, 1.0), PreconditionError,
+     "N must be a positive integer, got inf"),
+])
+def test_non_finite_sizes_are_rejected(build, error, message):
+    # NaN fails each range check, and the message names the value
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 class TestQuadrature:
@@ -164,7 +181,8 @@ def test_report_identities_hold_for_any_norms(mass, grad, lp, lq, omega,
 
 class TestScalingCurve:
     def test_nonpositive_lambda(self, report, params1):
-        for lam, smallest in ((0.0, "0.0"), ([-1.0, 2.0], "-1.0")):
+        for lam, smallest in ((0.0, "0.0"), ([-1.0, 2.0], "-1.0"),
+                              ([2.0, np.nan], "nan")):
             with pytest.raises(ValueError, match=re.escape(
                     f"lambda must be positive, got smallest {smallest}")):
                 at_scale(report, params1, lam)

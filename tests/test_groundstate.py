@@ -252,20 +252,27 @@ class TestCertificates:
         assert gs1.residual <= 1e-8
 
     def test_failure_states_ratio_gate_and_action(self, gs1):
+        # a result certifies itself on construction, a replaced one too
         action = abs(gs1.report.action)
         report = replace(gs1.report, nehari=2e-6 * action)
         with pytest.raises(CertificationError) as err:
-            groundstate._check_identities(report)
+            replace(gs1, report=report)
         assert str(err.value) == (
             "|nehari| / |S| = 2.00e-06 exceeds IDENTITY_RTOL = 1e-06 "
             f"(|S| = {action:.6g})")
+
+    def test_replaced_residual_fails_the_gate(self, gs1):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"stationary residual 2.00e-08 (normalised "
+                f"{gs1.unit_residual:.2e}) above 1e-08")):
+            replace(gs1, residual=2e-8)
 
     def test_bracket_straddles_amplitude(self, gs1):
         lo, hi = gs1.bracket
         assert lo < gs1.amplitude < hi
 
     # between the solve grid's nodes, which are collocation nodes of the
-    # polish, the r-residual is above the gate at large ω: ROADMAP item 3
+    # polish, the r-residual is above the gate at large ω: ROADMAP item 2
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="midpoint residual about 1e-7 at N = 1, "
                               "omega = 50")
@@ -576,7 +583,7 @@ class TestHigherDimension:
             Params(N=4, a=1.0, b=1.0, p=p, q=2.9, omega=omega)))
 
     # at p = 1.5 the collocation polish still runs out of its node budget
-    # (46362 nodes here): ROADMAP item 3
+    # (46362 nodes here): ROADMAP item 2
     @pytest.mark.xfail(strict=True, raises=ConvergenceError,
                        reason="polish exceeds its node budget at N = 4, "
                               "p = 1.5, q = 2.9, omega = 30")

@@ -1,6 +1,7 @@
 """The package's source read as syntax: the integrator stays independent of
-the solver and of the classification that drives it, and every error class
-of the taxonomy is raised somewhere."""
+the solver and of the classification that drives it, no module reaches
+into another's private names, and every error class of the taxonomy is
+raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,29 @@ def test_evolution_needs_no_solver():
     # neither groundstate nor stability: the integrator reads a reference
     # ground state as its FunctionalReport only
     assert package_imports("evolution") == {"params", "functionals"}
+
+
+def private_imports() -> set[tuple[str, str, str]]:
+    """(importer, module, name) of every underscore name that a dpnls
+    module imports from another dpnls module."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("dpnls"):
+                continue
+            module = (node.module or "").removeprefix("dpnls").lstrip(".")
+            found.update((path.stem, module, alias.name) for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+def test_no_private_names_cross_modules():
+    # a module's private names stay its own; the one line-spectrum reader
+    # is shared by the functionals, the integrator and the embedding
+    assert {imp for imp in private_imports()
+            if imp[1:] != ("functionals", "_line_spectrum")} == set()
 
 
 def raised_names() -> set[str]:

@@ -108,6 +108,10 @@ class TestScalarFunctions:
         with pytest.raises(ValueError, match=re.escape(
                 "lambda must lie in (0, 1], got smallest 0.25, largest 1.5")):
             g1_fn(np.array([0.25, 1.5]), EP13)
+        for fn in (h_fn, g1_fn, g2_fn, g3_fn):
+            with pytest.raises(ValueError, match=re.escape(
+                    "lambda must lie in (0, 1], got smallest nan, largest nan")):
+                fn(np.array([0.5, np.nan]), EP13)
 
     def test_exponent_pair_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +179,12 @@ class TestLambdaZero:
         assert find_lambda0(gs1.report, gs1.params) == pytest.approx(
             1.0, abs=1e-10
         )
+
+    def test_zero_nehari_crossing_is_one(self, params1):
+        # K = 0 exactly: the root-finder returns the endpoint 1 itself
+        rep = report_from_norms(1.0, 1.0, 1.0, 1.0, params1)
+        assert rep.nehari == 0.0
+        assert find_lambda0(rep, params1) == 1.0
 
     def test_scaled_state_crossing(self, gs1):
         # K(phi^lam) < 0 for lam > 1, and the first crossing going down in

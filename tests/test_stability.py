@@ -6,6 +6,7 @@ curve): the criterion d2s <= 0 holds at omega = 1 and omega = 10, fails
 at omega = 0.5, and the omega = 10 state has positive energy.
 """
 
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -140,8 +141,10 @@ class TestMembership:
 
 class TestScaledData:
     def test_rejects_lambda_at_most_one(self, gs1):
-        for lam in (1.0, 0.8):
-            with pytest.raises(ValueError):
+        # NaN fails the range check, and inf too, before any embedding
+        for lam in (1.0, 0.8, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"lambda must be finite and exceed 1, got {lam!r}")):
                 make_scaled_data(gs1, lam, GRID)
 
     def test_mass_preserved(self, gs1):
