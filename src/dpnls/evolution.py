@@ -75,13 +75,16 @@ CONCAVITY_SLACK = 1e-2
 AUDIT_MIN_RECORDS = 5
 
 
-def in_blowup_set(checks: tuple[float, float, float, float],
-                  mass: float) -> bool:
-    """Blowup-set membership from the margins checks = (S(v) - S(phi),
-    mass(v) - mass(phi), K(v), Q(v)) and mass(phi): the first, third and
-    fourth strictly negative, the second at most ``MASS_BAND`` * mass(phi)."""
-    action_gap, mass_gap, nehari, virial = checks
-    return bool(action_gap < 0 and mass_gap <= MASS_BAND * mass
+def in_blowup_set(values: tuple[float, float, float, float],
+                  ref: FunctionalReport, slack: float) -> bool:
+    """The one statement of the blowup set B_omega = {S < S(phi),
+    mass <= mass(phi), K < 0, Q < 0}, phi the ground state with report
+    ``ref``: true when values = (S, mass, K, Q) has S - S(phi) below
+    slack * |S(phi)|, mass - mass(phi) at most (``MASS_BAND`` + slack) *
+    mass(phi), and K, Q strictly negative."""
+    action, mass, nehari, virial = values
+    return bool(action - ref.action < slack * abs(ref.action)
+                and mass - ref.mass <= (MASS_BAND + slack) * ref.mass
                 and nehari < 0 and virial < 0)
 
 
@@ -92,7 +95,7 @@ class EvolutionConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.t_max > 0):
+        if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf):
             raise ValueError(f"dt and t_max must be positive, got {self}")
         if not self.record_every >= 1:
             raise ValueError(f"record_every must be at least 1, got {self}")
@@ -354,15 +357,15 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
     8 Q(u(t)) <= 16 (S(u0) - S(phi)).  S(u(t)) is bounded from above only,
     so a breakdown of conservation shows in the run's energy drift
     (``conservation_drift``), not in this audit."""
+    def values(rec: TraceRecord):
+        return rec.action, rec.mass, rec.nehari, rec.virial_q
+
     first = verdict.trace[0]
-    if not in_blowup_set((first.action - ref.action, first.mass - ref.mass,
-                          first.nehari, first.virial_q), ref.mass):
+    if not in_blowup_set(values(first), ref, 0.0):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
     return all(
-        rec.action - ref.action < INVARIANCE_DRIFT * abs(ref.action)
-        and rec.mass - ref.mass <= (MASS_BAND + INVARIANCE_DRIFT) * ref.mass
-        and rec.nehari < 0 and rec.virial_q < 0
+        in_blowup_set(values(rec), ref, INVARIANCE_DRIFT)
         and 8.0 * rec.virial_q <= bound + INVARIANCE_DRIFT * abs(bound)
         for rec in _before_detection(verdict))
 

@@ -79,7 +79,6 @@ class GroundStateResult:
     report: FunctionalReport
     residual: float             # stationary residual of φ in r
     unit_residual: float        # the same of u in ξ: residual / (ω s0)
-    amplitude: float            # φ(0)
     bracket: tuple[float, float]  # shooting amplitude bracket used
     diagnostics: SolveDiagnostics
 
@@ -96,6 +95,11 @@ class GroundStateResult:
                 raise CertificationError(
                     f"|{name}| / |S| = {val / action:.2e} exceeds "
                     f"IDENTITY_RTOL = {IDENTITY_RTOL:.0e} (|S| = {action:.6g})")
+
+    @property
+    def amplitude(self) -> float:
+        """φ(0), read from the profile, as a Python float."""
+        return float(self.profile.values[0])
 
     def resample(self, r: np.ndarray) -> np.ndarray:
         """φ at arbitrary radii, zero outside [0, rmax], from a cubic spline
@@ -333,7 +337,7 @@ def solve_ground_state(params: Params) -> GroundStateResult:
                                    extension)
     return GroundStateResult(profile, params, functionals(profile, params),
                              params.omega * s0 * unit_residual, unit_residual,
-                             float(s0 * u[0]), (s0 * lo, s0 * hi), diagnostics)
+                             (s0 * lo, s0 * hi), diagnostics)
 
 
 def residual_norm(profile: RadialProfile, params: Params) -> float:

@@ -50,12 +50,12 @@ ERRORS = (InvalidStateError, ResolutionError, NoBracketError, ConvergenceError,
 class Params:
     """Equation parameters (N, a, b, p, q, omega) with derived scaling exponents.
 
-    Admissibility: a, b, omega > 0 and 1 < p < 1 + 4/N < q, with
-    q < 1 + 4/(N-2) for N >= 3.  Validation is skipped by
-    ``_validate=False`` for parameters derived from validated ones (the
-    normalised c, c′ of a solve, where c′ can underflow to 0) and via
-    ``Params.relaxed`` for test oracles that need degenerate coefficients
-    (e.g. the single-power soliton with a = 0).
+    Admissibility: a, b, omega finite and positive and
+    1 < p < 1 + 4/N < q < inf, with q < 1 + 4/(N-2) for N >= 3.
+    Validation is skipped by ``_validate=False`` for parameters derived
+    from validated ones (the normalised c, c′ of a solve, where c′ can
+    underflow to 0) and via ``Params.relaxed`` for test oracles that need
+    degenerate coefficients (e.g. the single-power soliton with a = 0).
     """
 
     N: int
@@ -72,14 +72,14 @@ class Params:
         if not (self.N >= 1 and float(self.N).is_integer()):
             raise PreconditionError(
                 f"N must be a positive integer, got {self.N}")
-        if not (self.a > 0 and self.b > 0):
+        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
             raise PreconditionError(f"a, b must be positive: a={self.a}, b={self.b}")
-        if not self.omega > 0:
+        if not 0 < self.omega < np.inf:
             raise PreconditionError(f"omega must be positive: omega={self.omega}")
         lo = 1.0 + 4.0 / self.N
-        if not (1.0 < self.p < lo < self.q):
+        if not (1.0 < self.p < lo < self.q < np.inf):
             raise PreconditionError(
-                f"need 1 < p < {lo} < q, got p={self.p}, q={self.q}")
+                f"need 1 < p < {lo} < q < inf, got p={self.p}, q={self.q}")
         if self.N >= 3 and self.q >= 1.0 + 4.0 / (self.N - 2):
             raise PreconditionError(
                 f"q must be below {1 + 4 / (self.N - 2)} for N={self.N}")
@@ -99,10 +99,6 @@ class Params:
         """Scaling exponent of the q-power term, N(q-1)/2, above 2."""
         return self.N * (self.q - 1.0) / 2.0
 
-    def with_omega(self, omega: float) -> "Params":
-        return Params(self.N, self.a, self.b, self.p, self.q, omega,
-                      _validate=self._validate)
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -112,7 +108,7 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not self.rmax > 0:
+        if not 0 < self.rmax < np.inf:
             raise ValueError(f"rmax must be positive, got {self.rmax!r}")
         if not self.n >= 2:
             raise ValueError(f"need at least 2 nodes, got {self.n!r}")
@@ -134,7 +130,7 @@ class PeriodicGrid:
     m: int
 
     def __post_init__(self):
-        if not self.length > 0:
+        if not 0 < self.length < np.inf:
             raise ValueError(f"length must be positive, got {self.length!r}")
         if not self.m >= 2:
             raise ValueError(f"need at least 2 nodes, got {self.m!r}")

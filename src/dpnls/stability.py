@@ -2,17 +2,18 @@
 
 A ground state is classified by the concavity of the action along the
 mass-preserving scaling curve at lambda = 1: d2s <= 0 is the sufficient
-condition for strong instability.  ``in_b_omega`` tests membership in the
-invariant blowup set {S < S(phi), mass <= mass(phi), K < 0, Q < 0}.
-``omega_sweep`` is the one loop that solves and classifies across omega,
-``blowup_run`` the one evolution and audit of lambda-compressed data, and
-``blowup_sweep`` the one loop over lambda, which runs them in lambda
-order.
+condition for strong instability.  ``make_scaled_data`` checks that the
+embedded phi^lambda lies in the invariant blowup set {S < S(phi),
+mass <= mass(phi), K < 0, Q < 0} by ``evolution.in_blowup_set``, the one
+statement of that set.  ``omega_sweep`` is the one loop that solves and
+classifies across omega, ``blowup_run`` the one evolution and audit of
+lambda-compressed data, and ``blowup_sweep`` the one loop over lambda,
+which runs them in lambda order.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -45,18 +46,6 @@ class StabilityReport:
     remark13_consistent: bool
 
 
-@dataclass(frozen=True)
-class BOmegaVerdict:
-    """Membership verdict with the raw margins of the four conditions.
-
-    checks = (S(v) - S(phi), mass(v) - mass(phi), K(v), Q(v)), read by
-    ``evolution.in_blowup_set``.
-    """
-
-    in_set: bool
-    checks: tuple[float, float, float, float]
-
-
 def remark13_decomposition(report: FunctionalReport,
                            params: Params) -> tuple[float, float, float]:
     """Three summands that add up to d2s for every report: (alpha+1) Q,
@@ -79,14 +68,6 @@ def classify(gs: GroundStateResult) -> StabilityReport:
     consistent = (not (r.energy > band and r.d2s >= -band)
                   and abs(sum(remark13_decomposition(r, params)) - r.d2s) <= band)
     return StabilityReport(params.omega, r.d2s, r.energy, r.d2s <= band, consistent)
-
-
-def in_b_omega(v, gs: GroundStateResult) -> BOmegaVerdict:
-    """Test the four defining inequalities of the blowup set."""
-    rv = functionals(v, gs.params)
-    rg = gs.report
-    checks = (rv.action - rg.action, rv.mass - rg.mass, rv.nehari, rv.virial)
-    return BOmegaVerdict(in_blowup_set(checks, rg.mass), checks)
 
 
 def _embed(gs: GroundStateResult, lam: float,
@@ -114,10 +95,12 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
     if not 1.0 < lam < np.inf:
         raise PreconditionError(f"lambda must be finite and exceed 1, got {lam!r}")
     u0 = _embed(gs, lam, grid)
-    verdict = in_b_omega(u0, gs)
-    if not verdict.in_set:
+    rv, rg = functionals(u0, gs.params), gs.report
+    if not in_blowup_set((rv.action, rv.mass, rv.nehari, rv.virial), rg, 0.0):
+        margins = (rv.action - rg.action, rv.mass - rg.mass, rv.nehari,
+                   rv.virial)
         raise MembershipError(f"embedded state not in the blowup set: "
-                              f"margins {verdict.checks}")
+                              f"margins {margins}")
     return u0
 
 
@@ -194,7 +177,7 @@ def omega_sweep(params: Params, omegas) -> list[dict]:
                **{f.name: nan for f in fields(SolveDiagnostics)},
                "status": "ok"}
         try:
-            gs = solve_ground_state(params.with_omega(w))
+            gs = solve_ground_state(replace(params, omega=w))
             rep = classify(gs)
         except ERRORS as exc:
             row["status"] = f"error: {exc}"

@@ -6,6 +6,8 @@ and discretization noise grows exponentially, which would test the PDE,
 not the integrator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +311,30 @@ class TestAuditBands:
         verdict = BlowupVerdict(None, None, trace, None, 1, 0, 1.0, [])
         assert not b_omega_invariance_audit(verdict, ref)
 
+    @pytest.mark.parametrize("field, value", [
+        # S(u) - S(phi) = 1.5e-9 against the slack 1e-6 |S(phi)| = 1e-9
+        ("action", 1e-3 * (1.0 + 1.5e-6)),
+        # mass(u) - mass(phi) = 2.5e-6 against (MASS_BAND + 1e-6) mass(phi)
+        ("mass", 1.0 + 2.5e-6),
+        ("nehari", 0.0),
+        # Q = 0 also breaks the virial bound, which is negative whenever
+        # the run starts inside the set
+        ("virial_q", 0.0),
+        # Q < 0, but 8 Q = bound + 8e-9 against the slack 1e-6 |bound|
+        ("virial_q", -2e-4 + 1e-9),
+    ])
+    def test_invariance_rejects_each_condition_just_past_its_band(
+            self, field, value):
+        # S(u0) = 0.9e-3 below S(phi) = 1e-3, so the virial bound
+        # 16 (S(u0) - S(phi)) is -1.6e-3; one field of the second record
+        # is moved just out of the blowup set
+        ref = synthetic_reference(1e-3)
+        first, second = (synthetic_record(t, 0.9e-3) for t in (0.0, 1.0))
+        inside = BlowupVerdict(None, None, [first, second], None, 1, 0, 1.0, [])
+        assert b_omega_invariance_audit(inside, ref)
+        moved = replace(inside, trace=[first, replace(second, **{field: value})])
+        assert not b_omega_invariance_audit(moved, ref)
+
 
 class TestConfigValidation:
     def test_rejects_bad_steps(self):
@@ -320,3 +346,7 @@ class TestConfigValidation:
             EvolutionConfig(dt=float("nan"), t_max=1.0)
         with pytest.raises(ValueError, match=r"\(dt=0\.001, t_max=nan,"):
             EvolutionConfig(dt=1e-3, t_max=float("nan"))
+        with pytest.raises(ValueError, match=r"\(dt=inf, t_max=1\.0,"):
+            EvolutionConfig(dt=float("inf"), t_max=1.0)
+        with pytest.raises(ValueError, match=r"\(dt=0\.001, t_max=inf,"):
+            EvolutionConfig(dt=1e-3, t_max=float("inf"))

@@ -40,9 +40,21 @@ def gauss_integral(k):
      "N must be a positive integer, got nan"),
     (lambda: Params(np.inf, 1.0, 1.0, 3.0, 7.0, 1.0), PreconditionError,
      "N must be a positive integer, got inf"),
+    (lambda: RadialGrid(np.inf, 10), ValueError,
+     "rmax must be positive, got inf"),
+    (lambda: PeriodicGrid(np.inf, 16), ValueError,
+     "length must be positive, got inf"),
+    (lambda: Params(1, 1.0, 1.0, 3.0, 7.0, np.inf), PreconditionError,
+     "omega must be positive: omega=inf"),
+    (lambda: Params(1, np.inf, 1.0, 3.0, 7.0, 1.0), PreconditionError,
+     "a, b must be positive: a=inf, b=1.0"),
+    (lambda: Params(1, 1.0, np.inf, 3.0, 7.0, 1.0), PreconditionError,
+     "a, b must be positive: a=1.0, b=inf"),
+    (lambda: Params(1, 1.0, 1.0, 3.0, np.inf, 1.0), PreconditionError,
+     "need 1 < p < 5.0 < q < inf, got p=3.0, q=inf"),
 ])
 def test_non_finite_sizes_are_rejected(build, error, message):
-    # NaN fails each range check, and the message names the value
+    # NaN and inf fail each range check, and the message names the value
     with pytest.raises(error, match=re.escape(message)):
         build()
 

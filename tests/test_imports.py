@@ -76,3 +76,31 @@ def test_every_error_class_is_raised():
     # a class in ERRORS that nothing raises is a dead branch of every
     # sweep's error handling
     assert {cls.__name__ for cls in ERRORS} <= raised_names()
+
+
+def readers(name: str) -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function or class, None at module level)
+    of every place in the package that reads ``name``, bare or as an
+    attribute."""
+    found = set()
+
+    def visit(node, owner, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = node.name
+        if ((isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, module)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), None, path.stem)
+    return found
+
+
+def test_mass_band_is_read_by_the_blowup_set_alone():
+    # B_omega is stated once: every membership test, with or without an
+    # audit slack, goes through in_blowup_set
+    assert readers("MASS_BAND") == {("evolution", "in_blowup_set")}

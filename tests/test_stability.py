@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dpnls.params import MembershipError, PeriodicGrid, ResolutionError
-from dpnls.evolution import EvolutionConfig
+from dpnls.evolution import EvolutionConfig, in_blowup_set
 from dpnls.functionals import FunctionalReport, at_scale, functionals
 from dpnls.groundstate import first_integral_report
 from dpnls import stability
@@ -23,7 +23,6 @@ from dpnls.stability import (
     blowup_run,
     blowup_sweep,
     classify,
-    in_b_omega,
     make_scaled_data,
     omega_sweep,
     remark13_decomposition,
@@ -99,12 +98,13 @@ class TestFirstIntegralOracle:
     def test_sweep_d2s_matches_oracle(self, params1):
         omegas = [0.5, 1.0, 2.0, 10.0, 50.0]
         for row in omega_sweep(params1, omegas):
-            want = first_integral_report(params1.with_omega(row["omega"])).d2s
+            want = first_integral_report(
+                replace(params1, omega=row["omega"])).d2s
             assert row["status"] == "ok"
             assert abs(row["d2s"] - want) <= 1e-9 * abs(want), row["omega"]
 
     def test_criterion_at_threshold(self, params1):
-        d2s = lambda w: first_integral_report(params1.with_omega(w)).d2s
+        d2s = lambda w: first_integral_report(replace(params1, omega=w)).d2s
         w_star = brentq(d2s, 0.5, 1.0, xtol=1e-12)
         assert w_star == pytest.approx(0.7487, abs=1e-4)
         rows = omega_sweep(params1, [w_star - 1e-2, w_star + 1e-2])
@@ -113,25 +113,33 @@ class TestFirstIntegralOracle:
             d2s(row["omega"]) <= 0 for row in rows] == [False, True]
 
 
+def blowup_set_values(v, params):
+    """(S, mass, K, Q) of the state ``v``, the values ``in_blowup_set``
+    reads."""
+    r = functionals(v, params)
+    return r.action, r.mass, r.nehari, r.virial
+
+
 class TestMembership:
     def test_scaled_state_inside(self, gs1):
         u0 = make_scaled_data(gs1, 1.2, GRID)
-        verdict = in_b_omega(u0, gs1)
-        assert verdict.in_set
-        ds, dm, k, q = verdict.checks
-        assert ds < 0 and k < 0 and q < 0
-        assert abs(dm) <= 1e-6 * gs1.report.mass
+        values = blowup_set_values(u0, gs1.params)
+        assert in_blowup_set(values, gs1.report, 0.0)
+        s, mass, k, q = values
+        assert s < gs1.report.action and k < 0 and q < 0
+        assert abs(mass - gs1.report.mass) <= 1e-6 * gs1.report.mass
 
     def test_ground_state_on_boundary(self, gs1):
         u0 = _embed(gs1, 1.0, GRID)
-        verdict = in_b_omega(u0, gs1)
         # phi sits on the boundary: S, K, Q margins all vanish
-        assert not verdict.in_set
+        assert not in_blowup_set(blowup_set_values(u0, gs1.params),
+                                 gs1.report, 0.0)
 
     def test_zero_not_inside(self, gs1):
         from dpnls.params import ComplexField
         zero = ComplexField(GRID, np.zeros(GRID.m, dtype=complex))
-        assert not in_b_omega(zero, gs1).in_set
+        assert not in_blowup_set(blowup_set_values(zero, gs1.params),
+                                 gs1.report, 0.0)
 
     def test_nehari_negative_along_scaling(self, gs1):
         # K(phi^lam) < 0 for every lam > 1, by the closed-form curve
