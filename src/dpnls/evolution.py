@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .params import ComplexField, MembershipError, Params, PeriodicGrid
+from .params import (ComplexField, MembershipError, Params, PeriodicGrid,
+                     PreconditionError, is_count)
 from .functionals import (
     FunctionalReport, _line_spectrum, raw_norms, report_from_norms)
 
@@ -70,8 +71,8 @@ MASS_BAND = 1e-6
 #: of |bound|, with no absolute floor, so a convex variance fails however
 #: small the bound.
 CONCAVITY_SLACK = 1e-2
-#: Fewest uniformly spaced trace records on which ``stability.blowup_run``
-#: runs the concavity and virial audits, which read variance curvature.
+#: Fewest records before detection on which the concavity and virial
+#: audits, which read the variance's second divided differences, run.
 AUDIT_MIN_RECORDS = 5
 
 
@@ -96,9 +97,10 @@ class EvolutionConfig:
 
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf):
-            raise ValueError(f"dt and t_max must be positive, got {self}")
-        if not self.record_every >= 1:
-            raise ValueError(f"record_every must be at least 1, got {self}")
+            raise PreconditionError(f"dt and t_max must be positive, got {self}")
+        if not is_count(self.record_every, 1):
+            raise PreconditionError(f"record_every must be an integer of at "
+                                    f"least 1, got {self.record_every!r}")
 
 
 @dataclass(frozen=True)
@@ -271,10 +273,10 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
                          ComplexField(u0.grid, u), step, reductions, dt, grids)
 
 
-def _before_detection(verdict: BlowupVerdict) -> list[TraceRecord]:
-    """The records before detection.  The record at detection time is past
-    the step-size control; conservation there reflects integrator
-    breakdown, not the flow."""
+def audit_window(verdict: BlowupVerdict) -> list[TraceRecord]:
+    """The records before detection, which every audit of a run reads.  The
+    record at detection time is past the step-size control; conservation
+    there reflects integrator breakdown, not the flow."""
     stop = verdict.t_detect if verdict.t_detect is not None else np.inf
     return [rec for rec in verdict.trace if rec.t < stop - 1e-12]
 
@@ -288,48 +290,31 @@ def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:
     of |E(u0)| (14 |E(u0)| at lambda = 1.05), so without the floor this
     number would measure that known loss, not the run."""
     first = verdict.trace[0]
-    kept = _before_detection(verdict)
+    kept = audit_window(verdict)
     mass = max((abs(rec.mass - first.mass) for rec in kept), default=0.0)
     energy = max((abs(rec.energy - first.energy) for rec in kept), default=0.0)
     return (mass / max(abs(first.mass), 1e-300),
             energy / max(1.0, abs(first.energy)))
 
 
-def _off_cadence(dts: np.ndarray) -> np.ndarray:
-    """Which record spacings differ from the first: the one rule of a
-    uniform cadence, read by ``uniform_prefix`` and the audits."""
-    return np.abs(dts - dts[0]) > 1e-9 * dts[0] + 1e-14
-
-
-def uniform_prefix(trace: list[TraceRecord]) -> list[TraceRecord]:
-    """Longest leading sub-trace with uniform cadence (adaptive stepping
-    makes the tail of a blowup trace nonuniform)."""
-    if len(trace) < 2:
-        return list(trace)
-    times = np.array([rec.t for rec in trace])
-    dts = np.diff(times)
-    cut = np.nonzero(_off_cadence(dts))[0]
-    end = int(cut[0]) + 1 if cut.size else len(trace)
-    return list(trace[:end])
-
-
-def _variance_series(trace: list[TraceRecord],
-                     min_records: int) -> tuple[float, np.ndarray]:
-    """(record spacing, variance samples) of a uniformly recorded trace."""
+def _variance_derivative(trace: list[TraceRecord], order: int,
+                         min_records: int) -> np.ndarray:
+    """d^order/dt^order of the variance: order! times the order-th divided
+    differences of the records, exact for a polynomial of degree ``order``
+    at any spacing.  Entry k reads records k to k + order; on a uniform
+    spacing it is the central difference, and where the spacing changes it
+    is first-order accurate at the middle record."""
     if len(trace) < min_records:
-        raise ValueError(f"need at least {min_records} records")
-    dts = np.diff(np.array([rec.t for rec in trace]))
-    if np.any(dts <= 0):
-        raise ValueError("need increasing record times")
-    if np.any(_off_cadence(dts)):
-        raise ValueError("trace cadence is not uniform")
-    return float(dts[0]), np.array([rec.variance for rec in trace])
-
-
-def _variance_d2(trace: list[TraceRecord]) -> np.ndarray:
-    """d^2/dt^2 of the variance by central second differences."""
-    dt, var = _variance_series(trace, AUDIT_MIN_RECORDS)
-    return (var[:-2] - 2 * var[1:-1] + var[2:]) / dt ** 2
+        raise PreconditionError(
+            f"need at least {min_records} records, got {len(trace)}")
+    t = np.array([rec.t for rec in trace])
+    if np.any(np.diff(t) <= 0):
+        raise PreconditionError(
+            f"need strictly increasing times over the {len(trace)} records")
+    d = np.array([rec.variance for rec in trace])
+    for k in range(1, order + 1):
+        d = k * np.diff(d) / (t[k:] - t[:-k])
+    return d
 
 
 def virial_check(trace: list[TraceRecord]) -> float:
@@ -337,17 +322,16 @@ def virial_check(trace: list[TraceRecord]) -> float:
     relative to max(1, |8 Q(u)|).  The floor stays: Q vanishes on a ground
     state, so on a standing wave a relative denominator would divide the
     finite-difference error by a number near zero."""
-    d2 = _variance_d2(trace)
+    d2 = _variance_derivative(trace, 2, AUDIT_MIN_RECORDS)
     q8 = 8.0 * np.array([rec.virial_q for rec in trace])
     denom = np.maximum(1.0, np.abs(q8[1:-1]))
     return float(np.max(np.abs(d2 - q8[1:-1]) / denom))
 
 
 def variance_third_difference(trace: list[TraceRecord]) -> float:
-    """Max |third finite difference of variance| / dt^3 (0 for quadratic)."""
-    dt, var = _variance_series(trace, 4)
-    d3 = np.diff(var, n=3) / dt ** 3
-    return float(np.max(np.abs(d3)))
+    """Max |d^3/dt^3 of the variance| by third divided differences (0 for a
+    quadratic variance)."""
+    return float(np.max(np.abs(_variance_derivative(trace, 3, 4))))
 
 
 def b_omega_invariance_audit(verdict: BlowupVerdict,
@@ -367,12 +351,12 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
     return all(
         in_blowup_set(values(rec), ref, INVARIANCE_DRIFT)
         and 8.0 * rec.virial_q <= bound + INVARIANCE_DRIFT * abs(bound)
-        for rec in _before_detection(verdict))
+        for rec in audit_window(verdict))
 
 
 def concavity_audit(trace: list[TraceRecord], ref: FunctionalReport) -> bool:
-    """Second difference of the variance stays below 16 (S(u0) - S(phi)),
-    S(phi) the action of ``ref``."""
-    d2 = _variance_d2(trace)
+    """d^2/dt^2 of the variance stays below 16 (S(u0) - S(phi)), S(phi)
+    the action of ``ref``."""
+    d2 = _variance_derivative(trace, 2, AUDIT_MIN_RECORDS)
     bound = 16.0 * (trace[0].action - ref.action)
     return bool(np.all(d2 <= bound + CONCAVITY_SLACK * abs(bound)))

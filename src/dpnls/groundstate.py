@@ -28,6 +28,7 @@ from .params import (
     ConvergenceError,
     NoBracketError,
     Params,
+    PreconditionError,
     RadialGrid,
     RadialProfile,
     ResolutionError,
@@ -344,7 +345,7 @@ def residual_norm(profile: RadialProfile, params: Params) -> float:
     """Finite-difference sup-norm of the stationary equation residual."""
     g = profile.grid
     if g.n < 5:
-        raise ValueError(f"need at least 5 nodes, got {g.n}")
+        raise PreconditionError(f"need at least 5 nodes, got {g.n}")
     phi = profile.values
     h = g.spacing
     d2 = (phi[:-2] - 2 * phi[1:-1] + phi[2:]) / h ** 2
@@ -359,7 +360,7 @@ def residual_norm(profile: RadialProfile, params: Params) -> float:
 def first_integral_amplitude(params: Params) -> float:
     """1D oracle: φ(0) from ωs² = 2a/(p+1) s^{p+1} + 2b/(q+1) s^{q+1}."""
     if params.N != 1:
-        raise ValueError("first integral closes only in one dimension")
+        raise PreconditionError("first integral closes only in one dimension")
     a, b, p, q, w = params.a, params.b, params.p, params.q, params.omega
     f = lambda s: w - 2 * a / (p + 1) * s ** (p - 1) - 2 * b / (q + 1) * s ** (q - 1)
     return _log_root(f, "the first integral", w)

@@ -46,6 +46,12 @@ ERRORS = (InvalidStateError, ResolutionError, NoBracketError, ConvergenceError,
           CertificationError, MembershipError, PreconditionError)
 
 
+def is_count(value, least: int) -> bool:
+    """A Python or NumPy integer, not a bool, of at least ``least``."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
+
+
 @dataclass(frozen=True)
 class Params:
     """Equation parameters (N, a, b, p, q, omega) with derived scaling exponents.
@@ -109,9 +115,10 @@ class RadialGrid:
 
     def __post_init__(self):
         if not 0 < self.rmax < np.inf:
-            raise ValueError(f"rmax must be positive, got {self.rmax!r}")
-        if not self.n >= 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n!r}")
+            raise PreconditionError(f"rmax must be positive, got {self.rmax!r}")
+        if not is_count(self.n, 2):
+            raise PreconditionError(
+                f"need an integer count of at least 2 nodes, got {self.n!r}")
 
     @property
     def spacing(self) -> float:
@@ -131,9 +138,10 @@ class PeriodicGrid:
 
     def __post_init__(self):
         if not 0 < self.length < np.inf:
-            raise ValueError(f"length must be positive, got {self.length!r}")
-        if not self.m >= 2:
-            raise ValueError(f"need at least 2 nodes, got {self.m!r}")
+            raise PreconditionError(f"length must be positive, got {self.length!r}")
+        if not is_count(self.m, 2):
+            raise PreconditionError(
+                f"need an integer count of at least 2 nodes, got {self.m!r}")
 
     @property
     def spacing(self) -> float:

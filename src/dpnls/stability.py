@@ -30,8 +30,8 @@ from .functionals import FunctionalReport, _line_spectrum, functionals
 from .groundstate import GroundStateResult, SolveDiagnostics, solve_ground_state
 from .evolution import (
     AUDIT_MIN_RECORDS, MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig,
-    b_omega_invariance_audit, concavity_audit, conservation_drift, evolve,
-    in_blowup_set, uniform_prefix, virial_check)
+    audit_window, b_omega_invariance_audit, concavity_audit,
+    conservation_drift, evolve, in_blowup_set, virial_check)
 
 #: ``classify``'s one band: a value within CRITERION_BAND * |S| of 0 is 0.
 CRITERION_BAND = 1e-8
@@ -108,18 +108,19 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
                cfg: EvolutionConfig) -> tuple[dict, BlowupVerdict]:
     """Evolve phi^lambda from ``grid``, audit the run and sum it up in a row.
 
-    Status is "ok" or "inconclusive"; the concavity and virial audits are
-    None when the uniformly recorded prefix of the trace has fewer than
+    Status is "ok" or "inconclusive".  Every audit reads one window, the
+    records before detection (``evolution.audit_window``); the concavity
+    and virial audits are None when it has fewer than
     ``evolution.AUDIT_MIN_RECORDS`` (5) records.  The row also counts the
     steps taken and the dt reductions, and gives the smallest dt, the
-    largest relative mass and energy drift before detection, the fraction
-    of the run's time span that the uniform prefix, which the audits see,
-    covers, and the (m, first step) of each grid the run used.  Raises the
-    package's ``ERRORS``.
+    largest relative mass and energy drift over the window, the time of its
+    last record over the run's time span (``audited_fraction``), and the
+    (m, first step) of each grid the run used.  Raises the package's
+    ``ERRORS``.
     """
     verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
-    uni = uniform_prefix(verdict.trace)
-    audited = len(uni) >= AUDIT_MIN_RECORDS
+    window = audit_window(verdict)
+    audited = len(window) >= AUDIT_MIN_RECORDS
     mass_drift, energy_drift = conservation_drift(verdict)
     t_end = verdict.trace[-1].t
     row = {
@@ -129,14 +130,14 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "t_detect": verdict.t_detect,
         "reason": verdict.reason or "",
         "invariance_audit": b_omega_invariance_audit(verdict, gs.report),
-        "concavity_audit": concavity_audit(uni, gs.report) if audited else None,
-        "virial_mismatch": virial_check(uni) if audited else None,
+        "concavity_audit": concavity_audit(window, gs.report) if audited else None,
+        "virial_mismatch": virial_check(window) if audited else None,
         "steps": verdict.steps,
         "dt_reductions": verdict.dt_reductions,
         "dt_min": verdict.dt_min,
         "mass_drift": mass_drift,
         "energy_drift": energy_drift,
-        "uniform_fraction": uni[-1].t / t_end if t_end > 0 else 0.0,
+        "audited_fraction": window[-1].t / t_end if t_end > 0 else 0.0,
         "grids": verdict.grids,
     }
     return row, verdict

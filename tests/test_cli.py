@@ -322,7 +322,7 @@ class TestBlowupCommand:
         assert entry["dt_min"] == 1e-3 * 0.5 ** entry["dt_reductions"]
         assert entry["mass_drift"] <= 1e-10
         assert 0.0 <= entry["energy_drift"] < 1.0
-        assert 0.0 < entry["uniform_fraction"] <= 1.0
+        assert 0.0 < entry["audited_fraction"] <= 1.0
 
     def test_empty_sweep_exit_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")

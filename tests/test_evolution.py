@@ -6,13 +6,15 @@ and discretization noise grows exponentially, which would test the PDE,
 not the integrator.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpnls.params import ComplexField, MembershipError, Params, PeriodicGrid
+from dpnls.params import (
+    ComplexField, MembershipError, Params, PeriodicGrid, PreconditionError)
 from dpnls.functionals import FunctionalReport, _line_spectrum, functionals
 from dpnls.stability import _embed, make_scaled_data
 from dpnls import evolution
@@ -21,10 +23,10 @@ from dpnls.evolution import (
     BlowupVerdict,
     EvolutionConfig,
     TraceRecord,
+    audit_window,
     b_omega_invariance_audit,
     concavity_audit,
     evolve,
-    uniform_prefix,
     variance_third_difference,
     virial_check,
 )
@@ -198,7 +200,7 @@ class TestStandingWave:
         cfg = EvolutionConfig(dt=2e-3, t_max=2.0, record_every=20)
         verdict = evolve(u0, gs_half.params, cfg)
         # Q(phi) = 0, so the variance should be nearly quadratic-free
-        assert virial_check(uniform_prefix(verdict.trace)) < 1e-3
+        assert virial_check(audit_window(verdict)) < 1e-3
 
 
 class TestFreePropagation:
@@ -245,7 +247,21 @@ class TestBlowup:
 
     def test_concavity_audit(self, blowup_run, gs1):
         _, verdict = blowup_run
-        assert concavity_audit(uniform_prefix(verdict.trace), gs1.report)
+        assert concavity_audit(audit_window(verdict), gs1.report)
+
+    def test_audit_window_spans_every_record_before_detection(
+            self, blowup_run, gs1):
+        # the dt control changes the record spacing before detection; the
+        # window keeps the records past that change, and the audits read
+        # them by divided differences
+        _, verdict = blowup_run
+        window = audit_window(verdict)
+        assert verdict.trace[-1].t == verdict.t_detect
+        assert window == verdict.trace[:-1]
+        spacings = np.diff([rec.t for rec in window])
+        assert spacings.max() > 1.5 * spacings.min()
+        assert concavity_audit(window, gs1.report)
+        assert np.isfinite(virial_check(window))
 
     def test_grid_ladder(self, blowup_run):
         u0, verdict = blowup_run
@@ -302,6 +318,36 @@ class TestAuditBands:
                  for t in range(AUDIT_MIN_RECORDS + 2)]
         assert not concavity_audit(trace, synthetic_reference(2e-4))
 
+    #: uneven record times, as a dt control that halves the step makes them
+    UNEVEN = (0.0, 1.0, 2.0, 2.5, 3.0, 3.25, 3.5)
+
+    @pytest.mark.parametrize("c", [-0.01, 0.01])
+    def test_audits_read_uneven_records_exactly(self, c):
+        # V(t) = c t^2 with 8 Q = 2 c: second divided differences are exact
+        # at any spacing, so the virial mismatch is rounding and the
+        # concavity audit sees V'' = 2 c against the bound -1.6e-3
+        trace = [replace(synthetic_record(t, 0.9e-3, variance=c * t ** 2),
+                         virial_q=c / 4.0) for t in self.UNEVEN]
+        assert virial_check(trace) <= 1e-12
+        assert concavity_audit(trace, synthetic_reference(1e-3)) == (c < 0)
+
+    @pytest.mark.parametrize("cubic", [0.0, 0.7])
+    def test_third_difference_reads_uneven_records(self, cubic):
+        # V(t) = cubic t^3 - 0.3 t^2 has third derivative 6 cubic
+        trace = [synthetic_record(t, 0.0, variance=cubic * t ** 3 - 0.3 * t ** 2)
+                 for t in self.UNEVEN]
+        assert variance_third_difference(trace) == pytest.approx(
+            6.0 * cubic, abs=1e-12)
+
+    @pytest.mark.parametrize("times, message", [
+        ((0.0, 1.0, 2.0, 3.0), "need at least 5 records, got 4"),
+        ((0.0, 1.0, 1.0, 2.0, 3.0), "strictly increasing times over the 5"),
+    ])
+    def test_variance_audits_need_increasing_records(self, times, message):
+        trace = [synthetic_record(t, 0.0) for t in times]
+        with pytest.raises(PreconditionError, match=message):
+            virial_check(trace)
+
     def test_invariance_rejects_action_above_small_ground_state(self):
         # S(phi) = 1e-3: the second record leaves the blowup set by
         # S(u) - S(phi) = +5e-7, 500 times the slack 1e-6 |S(phi)|
@@ -350,3 +396,10 @@ class TestConfigValidation:
             EvolutionConfig(dt=float("inf"), t_max=1.0)
         with pytest.raises(ValueError, match=r"\(dt=0\.001, t_max=inf,"):
             EvolutionConfig(dt=1e-3, t_max=float("inf"))
+        # a record count is a whole number: not a float, inf or a bool
+        for every in (2.5, float("inf"), True, 0, np.int64(0)):
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"at least 1, got {every!r}")):
+                EvolutionConfig(dt=1e-3, t_max=0.01, record_every=every)
+        assert EvolutionConfig(dt=1e-3, t_max=0.01,
+                               record_every=np.int64(2)).record_every == 2

@@ -52,9 +52,21 @@ def gauss_integral(k):
      "a, b must be positive: a=1.0, b=inf"),
     (lambda: Params(1, 1.0, 1.0, 3.0, np.inf, 1.0), PreconditionError,
      "need 1 < p < 5.0 < q < inf, got p=3.0, q=inf"),
+    # node counts are whole numbers: not a float, inf or a bool
+    (lambda: RadialGrid(10.0, 10.5), PreconditionError,
+     "need an integer count of at least 2 nodes, got 10.5"),
+    (lambda: RadialGrid(10.0, np.inf), PreconditionError,
+     "need an integer count of at least 2 nodes, got inf"),
+    (lambda: PeriodicGrid(32.0, 64.5), PreconditionError,
+     "need an integer count of at least 2 nodes, got 64.5"),
+    (lambda: PeriodicGrid(32.0, True), PreconditionError,
+     "need an integer count of at least 2 nodes, got True"),
+    (lambda: PeriodicGrid(32.0, np.int64(1)), PreconditionError,
+     "need an integer count of at least 2 nodes, got np.int64(1)"),
 ])
 def test_non_finite_sizes_are_rejected(build, error, message):
-    # NaN and inf fail each range check, and the message names the value
+    # NaN and inf fail each range check, a node count must be an integer,
+    # and the message names the value
     with pytest.raises(error, match=re.escape(message)):
         build()
 

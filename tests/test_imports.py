@@ -1,9 +1,11 @@
 """The package's source read as syntax: the integrator stays independent of
 the solver and of the classification that drives it, no module reaches
-into another's private names, and every error class of the taxonomy is
-raised somewhere."""
+into another's private names, the runtime imports nothing but numpy, scipy
+and the standard library, and the library raises the error taxonomy alone,
+every class of it somewhere."""
 
 import ast
+import sys
 from pathlib import Path
 
 from dpnls.params import ERRORS
@@ -59,23 +61,49 @@ def test_no_private_names_cross_modules():
             if imp[1:] != ("functionals", "_line_spectrum")} == set()
 
 
-def raised_names() -> set[str]:
-    """Names of the classes that some ``raise`` in the package raises, as
-    ``raise X(...)`` or ``raise X``."""
+def test_runtime_imports_are_numpy_scipy_and_stdlib():
+    # numpy and scipy are the declared runtime dependencies; anything else
+    # installed beside them (mpmath, sympy, ...) is not
+    allowed = {"numpy", "scipy", "dpnls", *sys.stdlib_module_names}
     found = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found - allowed == set()
+
+
+def raised_names(skip: tuple[str, ...] = ()) -> dict[str, set[str]]:
+    """What some ``raise`` in the package, outside the modules in ``skip``,
+    raises, as ``raise X(...)`` or ``raise X``: the source text of X, each
+    with the modules that raise it."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    found.add(exc.id)
+                found.setdefault(ast.unparse(exc), set()).add(path.stem)
     return found
 
 
 def test_every_error_class_is_raised():
     # a class in ERRORS that nothing raises is a dead branch of every
     # sweep's error handling
-    assert {cls.__name__ for cls in ERRORS} <= raised_names()
+    assert {cls.__name__ for cls in ERRORS} <= raised_names().keys()
+
+
+def test_library_raises_only_taxonomy_errors():
+    # a sweep records a taxonomy error as its row and goes on, so a library
+    # failure outside ERRORS would end the sweep as a program fault; the
+    # command line's ValueErrors are config errors that main exits 2 on
+    taxonomy = {cls.__name__ for cls in ERRORS}
+    stray = {name: modules for name, modules in raised_names(("cli",)).items()
+             if name not in taxonomy}
+    assert stray == {}
 
 
 def readers(name: str) -> set[tuple[str, str | None]]:
