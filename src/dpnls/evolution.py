@@ -43,8 +43,7 @@ import scipy.fft
 
 from .params import (ComplexField, MembershipError, Params, PeriodicGrid,
                      PreconditionError, is_count)
-from .functionals import (
-    FunctionalReport, _line_spectrum, raw_norms, report_from_norms)
+from .functionals import FunctionalReport, _line_spectrum, functionals
 
 #: Floor of the adaptive step size.
 DT_MIN = 1e-9
@@ -60,20 +59,14 @@ BLOWUP_GRAD_FACTOR = 50.0
 #: Factor by which dt shrinks when sup|u| grows by more than 2 % in a step.
 CFL_SHRINK = 0.5
 #: Relative slack of the conserved quantities and the virial bound in
-#: ``b_omega_invariance_audit``: of |S(phi)|, mass(phi) and |bound|, with
-#: no absolute floor, so the audit binds on a state of small action too.
+#: ``b_omega_invariance_audit``, of |S(phi)|, mass(phi) and |bound|, and of
+#: the variance envelope in ``concavity_audit``, of V(0): no absolute floor,
+#: so the audits bind on a state of small action or variance too.
 INVARIANCE_DRIFT = 1e-6
 #: Relative band within which mass(v) <= mass(phi) holds in blowup-set
 #: membership: the resampling error at the scale the scaling family
 #: preserves the mass.
 MASS_BAND = 1e-6
-#: Relative slack of the variance-curvature bound in ``concavity_audit``:
-#: of |bound|, with no absolute floor, so a convex variance fails however
-#: small the bound.
-CONCAVITY_SLACK = 1e-2
-#: Fewest records before detection on which the concavity and virial
-#: audits, which read the variance's second divided differences, run.
-AUDIT_MIN_RECORDS = 5
 
 
 def in_blowup_set(values: tuple[float, float, float, float],
@@ -140,7 +133,7 @@ def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
             params: Params) -> TraceRecord:
     fld = ComplexField(grid, u)
     var = float(np.sum(grid.x ** 2 * np.abs(u) ** 2) * grid.spacing)
-    rep = report_from_norms(*raw_norms(fld, params), params)
+    rep = functionals(fld, params)
     return TraceRecord(t, rep.mass, rep.energy, rep.action, rep.nehari,
                        rep.virial, rep.grad, var, float(np.max(np.abs(u))))
 
@@ -297,16 +290,15 @@ def conservation_drift(verdict: BlowupVerdict) -> tuple[float, float]:
             energy / max(1.0, abs(first.energy)))
 
 
-def _variance_derivative(trace: list[TraceRecord], order: int,
-                         min_records: int) -> np.ndarray:
+def _variance_derivative(trace: list[TraceRecord], order: int) -> np.ndarray:
     """d^order/dt^order of the variance: order! times the order-th divided
     differences of the records, exact for a polynomial of degree ``order``
     at any spacing.  Entry k reads records k to k + order; on a uniform
     spacing it is the central difference, and where the spacing changes it
     is first-order accurate at the middle record."""
-    if len(trace) < min_records:
+    if len(trace) < order + 1:
         raise PreconditionError(
-            f"need at least {min_records} records, got {len(trace)}")
+            f"need at least {order + 1} records, got {len(trace)}")
     t = np.array([rec.t for rec in trace])
     if np.any(np.diff(t) <= 0):
         raise PreconditionError(
@@ -322,7 +314,7 @@ def virial_check(trace: list[TraceRecord]) -> float:
     relative to max(1, |8 Q(u)|).  The floor stays: Q vanishes on a ground
     state, so on a standing wave a relative denominator would divide the
     finite-difference error by a number near zero."""
-    d2 = _variance_derivative(trace, 2, AUDIT_MIN_RECORDS)
+    d2 = _variance_derivative(trace, 2)
     q8 = 8.0 * np.array([rec.virial_q for rec in trace])
     denom = np.maximum(1.0, np.abs(q8[1:-1]))
     return float(np.max(np.abs(d2 - q8[1:-1]) / denom))
@@ -331,7 +323,31 @@ def virial_check(trace: list[TraceRecord]) -> float:
 def variance_third_difference(trace: list[TraceRecord]) -> float:
     """Max |d^3/dt^3 of the variance| by third divided differences (0 for a
     quadratic variance)."""
-    return float(np.max(np.abs(_variance_derivative(trace, 3, 4))))
+    return float(np.max(np.abs(_variance_derivative(trace, 3))))
+
+
+def variance_rate(u: ComplexField) -> float:
+    """d/dt ||xu||^2 = 4 Im int x conj(u) u_x dx at the state u, with the
+    spectral derivative u_x."""
+    grid = u.grid
+    ux = scipy.fft.ifft(1j * grid.wavenumbers * scipy.fft.fft(u.values))
+    return float(4.0 * np.sum(grid.x * (u.values.conj() * ux).imag)
+                 * grid.spacing)
+
+
+def blowup_time_bound(first: TraceRecord, ref: FunctionalReport,
+                      rate0: float) -> tuple[float, float]:
+    """(c, T*) of Glassey's argument for a run from ``first`` at t = 0 with
+    V'(0) = ``rate0``: on the blowup set of the ground state with report
+    ``ref``, V'' = 8 Q <= -c, c = 16 (S(phi) - S(u0)), so V stays below the
+    envelope V(0) + V'(0) t - c t^2 / 2, and no solution lives past its
+    positive root T*.  MembershipError when c <= 0."""
+    c = 16.0 * (ref.action - first.action)
+    if not c > 0:
+        raise MembershipError(
+            f"S(u0) = {first.action!r} is not below S(phi) = {ref.action!r}")
+    t_bound = (rate0 + np.sqrt(rate0 ** 2 + 2.0 * c * first.variance)) / c
+    return c, float(t_bound)
 
 
 def b_omega_invariance_audit(verdict: BlowupVerdict,
@@ -354,9 +370,15 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
         for rec in audit_window(verdict))
 
 
-def concavity_audit(trace: list[TraceRecord], ref: FunctionalReport) -> bool:
-    """d^2/dt^2 of the variance stays below 16 (S(u0) - S(phi)), S(phi)
-    the action of ``ref``."""
-    d2 = _variance_derivative(trace, 2, AUDIT_MIN_RECORDS)
-    bound = 16.0 * (trace[0].action - ref.action)
-    return bool(np.all(d2 <= bound + CONCAVITY_SLACK * abs(bound)))
+def concavity_audit(verdict: BlowupVerdict, ref: FunctionalReport,
+                    rate0: float) -> bool:
+    """Every record before detection lies below the envelope of
+    ``blowup_time_bound`` plus INVARIANCE_DRIFT V(0), at any record spacing,
+    and the run's last record comes before T*."""
+    first = verdict.trace[0]
+    c, t_bound = blowup_time_bound(first, ref, rate0)
+    v0 = first.variance
+    return verdict.trace[-1].t < t_bound and all(
+        rec.variance <= v0 + rate0 * rec.t - 0.5 * c * rec.t ** 2
+        + INVARIANCE_DRIFT * v0
+        for rec in audit_window(verdict))

@@ -75,7 +75,7 @@ class Params:
     def __post_init__(self):
         if not self._validate:
             return
-        if not (self.N >= 1 and float(self.N).is_integer()):
+        if not is_count(self.N, 1):
             raise PreconditionError(
                 f"N must be a positive integer, got {self.N}")
         if not (0 < self.a < np.inf and 0 < self.b < np.inf):

@@ -29,9 +29,9 @@ from .params import (
 from .functionals import FunctionalReport, _line_spectrum, functionals
 from .groundstate import GroundStateResult, SolveDiagnostics, solve_ground_state
 from .evolution import (
-    AUDIT_MIN_RECORDS, MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig,
-    audit_window, b_omega_invariance_audit, concavity_audit,
-    conservation_drift, evolve, in_blowup_set, virial_check)
+    MAX_TAIL_FRACTION, BlowupVerdict, EvolutionConfig, audit_window,
+    b_omega_invariance_audit, blowup_time_bound, concavity_audit,
+    conservation_drift, evolve, in_blowup_set, variance_rate)
 
 #: ``classify``'s one band: a value within CRITERION_BAND * |S| of 0 is 0.
 CRITERION_BAND = 1e-8
@@ -110,17 +110,18 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
 
     Status is "ok" or "inconclusive".  Every audit reads one window, the
     records before detection (``evolution.audit_window``); the concavity
-    and virial audits are None when it has fewer than
-    ``evolution.AUDIT_MIN_RECORDS`` (5) records.  The row also counts the
-    steps taken and the dt reductions, and gives the smallest dt, the
-    largest relative mass and energy drift over the window, the time of its
-    last record over the run's time span (``audited_fraction``), and the
-    (m, first step) of each grid the run used.  Raises the package's
-    ``ERRORS``.
+    audit tests Glassey's envelope there, with V'(0) from phi^lambda, and
+    the run's end against ``t_bound``, the envelope's root T*.  The row
+    also counts the steps taken and the dt reductions, and gives the
+    smallest dt, the largest relative mass and energy drift over the
+    window, the time of its last record over the run's time span
+    (``audited_fraction``), and the (m, first step) of each grid the run
+    used.  Raises the package's ``ERRORS``.
     """
-    verdict = evolve(make_scaled_data(gs, lam, grid), gs.params, cfg)
+    u0 = make_scaled_data(gs, lam, grid)
+    verdict = evolve(u0, gs.params, cfg)
+    rate0 = variance_rate(u0)
     window = audit_window(verdict)
-    audited = len(window) >= AUDIT_MIN_RECORDS
     mass_drift, energy_drift = conservation_drift(verdict)
     t_end = verdict.trace[-1].t
     row = {
@@ -130,8 +131,8 @@ def blowup_run(gs: GroundStateResult, lam: float, grid: PeriodicGrid,
         "t_detect": verdict.t_detect,
         "reason": verdict.reason or "",
         "invariance_audit": b_omega_invariance_audit(verdict, gs.report),
-        "concavity_audit": concavity_audit(window, gs.report) if audited else None,
-        "virial_mismatch": virial_check(window) if audited else None,
+        "concavity_audit": concavity_audit(verdict, gs.report, rate0),
+        "t_bound": blowup_time_bound(verdict.trace[0], gs.report, rate0)[1],
         "steps": verdict.steps,
         "dt_reductions": verdict.dt_reductions,
         "dt_min": verdict.dt_min,

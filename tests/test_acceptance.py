@@ -174,7 +174,8 @@ def test_criterion_7_blowup(gs1):
     times = []
     # each row carries the invariance audit and the concavity audit, both
     # of the records before detection at whatever spacing the dt control
-    # left them; an error row has neither
+    # left them; the concavity audit is Glassey's envelope of the variance
+    # with detection before its root T*, and an error row has neither
     for row, _ in blowup_sweep(gs1, (1.05, 1.2, 1.5), grid, cfg):
         ok &= (row.get("blew_up") is True and row["reason"] == "gradient"
                and row["invariance_audit"] is True

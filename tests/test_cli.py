@@ -318,6 +318,10 @@ class TestBlowupCommand:
         assert entry["blew_up"] is True
         assert entry["reason"] == "gradient"
         assert entry["invariance_audit"] is True
+        assert entry["concavity_audit"] is True
+        assert 0.0 < entry["t_detect"] < entry["t_bound"]
+        assert "virial_mismatch" not in entry
+        assert None not in entry.values()
         assert entry["steps"] > 0 and entry["dt_reductions"] >= 1
         assert entry["dt_min"] == 1e-3 * 0.5 ** entry["dt_reductions"]
         assert entry["mass_drift"] <= 1e-10

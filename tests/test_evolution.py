@@ -17,16 +17,18 @@ from dpnls.params import (
     ComplexField, MembershipError, Params, PeriodicGrid, PreconditionError)
 from dpnls.functionals import FunctionalReport, _line_spectrum, functionals
 from dpnls.stability import _embed, make_scaled_data
-from dpnls import evolution
+from dpnls import evolution, stability
 from dpnls.evolution import (
-    AUDIT_MIN_RECORDS,
+    INVARIANCE_DRIFT,
     BlowupVerdict,
     EvolutionConfig,
     TraceRecord,
     audit_window,
     b_omega_invariance_audit,
+    blowup_time_bound,
     concavity_audit,
     evolve,
+    variance_rate,
     variance_third_difference,
     virial_check,
 )
@@ -246,22 +248,36 @@ class TestBlowup:
         assert b_omega_invariance_audit(verdict, gs1.report)
 
     def test_concavity_audit(self, blowup_run, gs1):
-        _, verdict = blowup_run
-        assert concavity_audit(audit_window(verdict), gs1.report)
+        u0, verdict = blowup_run
+        assert concavity_audit(verdict, gs1.report, variance_rate(u0))
 
     def test_audit_window_spans_every_record_before_detection(
             self, blowup_run, gs1):
         # the dt control changes the record spacing before detection; the
-        # window keeps the records past that change, and the audits read
-        # them by divided differences
-        _, verdict = blowup_run
+        # window keeps the records past that change, the envelope reads each
+        # of them at its own time, and the virial check by divided
+        # differences
+        u0, verdict = blowup_run
         window = audit_window(verdict)
         assert verdict.trace[-1].t == verdict.t_detect
         assert window == verdict.trace[:-1]
         spacings = np.diff([rec.t for rec in window])
         assert spacings.max() > 1.5 * spacings.min()
-        assert concavity_audit(window, gs1.report)
+        assert concavity_audit(verdict, gs1.report, variance_rate(u0))
         assert np.isfinite(virial_check(window))
+
+    @pytest.mark.parametrize("every", [100, 20, 7, 1])
+    def test_audit_is_cadence_free(self, blowup_run, gs1, every):
+        # the record cadence changes neither the run nor the envelope's
+        # verdict, and detection comes before Glassey's bound T*
+        _, reference = blowup_run
+        row, verdict = stability.blowup_run(
+            gs1, 1.5, PeriodicGrid(32.0, 65536),
+            EvolutionConfig(dt=5e-4, t_max=10.0, record_every=every))
+        assert (verdict.t_detect, verdict.steps) == (reference.t_detect,
+                                                     reference.steps)
+        assert row["concavity_audit"] is True
+        assert 0.0 < row["t_detect"] < row["t_bound"]
 
     def test_grid_ladder(self, blowup_run):
         u0, verdict = blowup_run
@@ -307,29 +323,89 @@ def synthetic_reference(action):
                             0.0)
 
 
+def synthetic_run(times, action, variance, t_detect=None):
+    """A verdict whose records at ``times`` have S(u0) = ``action`` and the
+    variance V(t) given by the callable ``variance``."""
+    trace = [synthetic_record(t, action, variance=variance(t)) for t in times]
+    return BlowupVerdict(t_detect, None if t_detect is None else "gradient",
+                         trace, None, 1, 0, 1.0, [])
+
+
 class TestAuditBands:
-    """The audit slacks are relative to the bound or action they guard, so
-    each audit fails on a violation smaller than 1 in absolute terms."""
+    """The audit slacks are relative to the bound, action or variance they
+    guard, so each audit fails on a violation smaller than 1 in absolute
+    terms.  The envelope tests give V(0) > 0, so that T* > 0."""
 
     def test_concavity_rejects_convex_variance_below_unit_bound(self):
-        # V(t) = 0.0025 t^2 has second difference +0.005 against the bound
-        # 16 (S(u0) - S(phi)) = -0.0032
-        trace = [synthetic_record(t, 0.0, variance=0.0025 * t ** 2)
-                 for t in range(AUDIT_MIN_RECORDS + 2)]
-        assert not concavity_audit(trace, synthetic_reference(2e-4))
+        # V(t) = 1 + 0.0025 t^2 is convex; c = 16 (S(phi) - S(u0)) = 3.2e-3,
+        # so it rises above the envelope 1 - 1.6e-3 t^2 by 4.1e-3 at t = 1,
+        # while the last record, t = 6, is before T* = 25
+        run = synthetic_run(range(7), 0.0, lambda t: 1.0 + 0.0025 * t ** 2)
+        ref = synthetic_reference(2e-4)
+        assert blowup_time_bound(run.trace[0], ref, 0.0) == pytest.approx(
+            (3.2e-3, 25.0), rel=1e-12)
+        assert not concavity_audit(run, ref, 0.0)
 
     #: uneven record times, as a dt control that halves the step makes them
     UNEVEN = (0.0, 1.0, 2.0, 2.5, 3.0, 3.25, 3.5)
 
-    @pytest.mark.parametrize("c", [-0.01, 0.01])
-    def test_audits_read_uneven_records_exactly(self, c):
-        # V(t) = c t^2 with 8 Q = 2 c: second divided differences are exact
-        # at any spacing, so the virial mismatch is rounding and the
-        # concavity audit sees V'' = 2 c against the bound -1.6e-3
-        trace = [replace(synthetic_record(t, 0.9e-3, variance=c * t ** 2),
-                         virial_q=c / 4.0) for t in self.UNEVEN]
+    @pytest.mark.parametrize("k", [-0.01, 0.01])
+    def test_audits_read_uneven_records_exactly(self, k):
+        # V(t) = 1 + k t^2 with 8 Q = 2 k: second divided differences are
+        # exact at any spacing, so the virial mismatch is rounding; the
+        # envelope is 1 - 8e-4 t^2, T* = 35.4, past every record
+        trace = [replace(synthetic_record(t, 0.9e-3, 1.0 + k * t ** 2),
+                         virial_q=k / 4.0) for t in self.UNEVEN]
         assert virial_check(trace) <= 1e-12
-        assert concavity_audit(trace, synthetic_reference(1e-3)) == (c < 0)
+        run = BlowupVerdict(None, None, trace, None, 1, 0, 1.0, [])
+        assert concavity_audit(run, synthetic_reference(1e-3), 0.0) == (k < 0)
+
+    def test_concavity_rejects_a_record_just_above_the_envelope(self):
+        # V lies on the envelope V(0) + V'(0) t - c t^2 / 2 with V(0) = 4,
+        # V'(0) = 0.05 and c = 1.6e-3; one record moved up by
+        # 2 INVARIANCE_DRIFT V(0) = 8e-6 exceeds the slack 4e-6
+        ref, rate0 = synthetic_reference(1e-3), 0.05
+        inside = synthetic_run(self.UNEVEN, 0.9e-3,
+                               lambda t: 4.0 + rate0 * t - 8e-4 * t ** 2)
+        assert concavity_audit(inside, ref, rate0)
+        moved = list(inside.trace)
+        moved[3] = replace(moved[3], variance=moved[3].variance
+                           + 2.0 * INVARIANCE_DRIFT * 4.0)
+        assert not concavity_audit(replace(inside, trace=moved), ref, rate0)
+
+    @pytest.mark.parametrize("last, passes", [
+        (0.99, True), (1.0, False), (1.01, False)])
+    def test_concavity_rejects_a_run_that_outlives_the_bound(
+            self, last, passes):
+        # V(t) = 1 - 8e-4 t^2 lies on the envelope, whose root is
+        # T* = sqrt(2 / 1.6e-3) = 35.36; the last record, at detection, is
+        # outside the window, so only its time against T* decides
+        ref = synthetic_reference(1e-3)
+        t_bound = blowup_time_bound(synthetic_record(0.0, 0.9e-3, 1.0),
+                                    ref, 0.0)[1]
+        assert t_bound == pytest.approx(np.sqrt(1250.0), rel=1e-12)
+        t_end = last * t_bound
+        run = synthetic_run((0.0, 10.0, 20.0, 30.0, t_end), 0.9e-3,
+                            lambda t: 1.0 - 8e-4 * t ** 2, t_detect=t_end)
+        assert concavity_audit(run, ref, 0.0) == passes
+
+    @pytest.mark.parametrize("action", [1e-3, 1.1e-3])
+    def test_concavity_needs_action_below_the_ground_state(self, action):
+        # c = 16 (S(phi) - S(u0)) <= 0 gives no envelope and no T*
+        run = synthetic_run(self.UNEVEN, action, lambda t: 1.0)
+        with pytest.raises(MembershipError,
+                           match=re.escape("is not below S(phi)")):
+            concavity_audit(run, synthetic_reference(1e-3), 0.0)
+
+    def test_variance_rate_of_a_moving_gaussian(self):
+        # u = exp(-(x - x0)^2 / 2 + i v x): Im(conj(u) u_x) = v |u|^2, so
+        # V' = 4 v int x exp(-(x - x0)^2) dx = 4 v x0 sqrt(pi)
+        x0, v = 1.5, 0.7
+        grid = PeriodicGrid(40.0, 1024)
+        u = ComplexField(grid,
+                         np.exp(-(grid.x - x0) ** 2 / 2 + 1j * v * grid.x))
+        assert variance_rate(u) == pytest.approx(4.0 * v * x0 * np.sqrt(np.pi),
+                                                 rel=1e-10)
 
     @pytest.mark.parametrize("cubic", [0.0, 0.7])
     def test_third_difference_reads_uneven_records(self, cubic):
@@ -340,7 +416,7 @@ class TestAuditBands:
             6.0 * cubic, abs=1e-12)
 
     @pytest.mark.parametrize("times, message", [
-        ((0.0, 1.0, 2.0, 3.0), "need at least 5 records, got 4"),
+        ((0.0, 1.0), "need at least 3 records, got 2"),
         ((0.0, 1.0, 1.0, 2.0, 3.0), "strictly increasing times over the 5"),
     ])
     def test_variance_audits_need_increasing_records(self, times, message):

@@ -52,7 +52,11 @@ def gauss_integral(k):
      "a, b must be positive: a=1.0, b=inf"),
     (lambda: Params(1, 1.0, 1.0, 3.0, np.inf, 1.0), PreconditionError,
      "need 1 < p < 5.0 < q < inf, got p=3.0, q=inf"),
-    # node counts are whole numbers: not a float, inf or a bool
+    # N and the node counts are whole numbers: not a float, inf or a bool
+    (lambda: Params(True, 1.0, 1.0, 3.0, 7.0, 1.0), PreconditionError,
+     "N must be a positive integer, got True"),
+    (lambda: Params(1.0, 1.0, 1.0, 3.0, 7.0, 1.0), PreconditionError,
+     "N must be a positive integer, got 1.0"),
     (lambda: RadialGrid(10.0, 10.5), PreconditionError,
      "need an integer count of at least 2 nodes, got 10.5"),
     (lambda: RadialGrid(10.0, np.inf), PreconditionError,

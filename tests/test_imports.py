@@ -1,16 +1,18 @@
 """The package's source read as syntax: the integrator stays independent of
 the solver and of the classification that drives it, no module reaches
 into another's private names, the runtime imports nothing but numpy, scipy
-and the standard library, and the library raises the error taxonomy alone,
-every class of it somewhere."""
+and the standard library, the library raises the error taxonomy alone,
+every class of it somewhere, and every constant the README names exists."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 from dpnls.params import ERRORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpnls"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def package_imports(module: str) -> set[str]:
@@ -132,3 +134,27 @@ def test_mass_band_is_read_by_the_blowup_set_alone():
     # B_omega is stated once: every membership test, with or without an
     # audit slack, goes through in_blowup_set
     assert readers("MASS_BAND") == {("evolution", "in_blowup_set")}
+
+
+def module_constants(path: Path) -> set[str]:
+    """The names a module assigns at its top level."""
+    return {target.id for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_readme_constants_exist():
+    # every UPPER_CASE name in backticks, bare or as module.NAME, is assigned
+    # in that module or, when bare, in some module: a deletion that leaves
+    # the README behind fails here
+    defined = {path.stem: module_constants(path)
+               for path in PACKAGE.glob("*.py")}
+    anywhere = set().union(*defined.values())
+    named = re.findall(r"`(?:dpnls\.)?(?:(\w+)\.)?([A-Z][A-Z0-9_]+)`",
+                       README.read_text())
+    assert named
+    missing = {f"{module}.{name}" if module else name
+               for module, name in named
+               if name not in (defined.get(module, set()) if module
+                               else anywhere)}
+    assert missing == set()
