@@ -36,14 +36,15 @@ that takes ``MAX_STEPS`` steps before t_max stops as inconclusive too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.fft
 
 from .params import (ComplexField, MembershipError, Params, PeriodicGrid,
                      PreconditionError, is_count)
-from .functionals import FunctionalReport, _line_spectrum, functionals
+from .functionals import (FunctionalReport, _line_spectrum, functionals,
+                          report_from_norms)
 
 #: Floor of the adaptive step size.
 DT_MIN = 1e-9
@@ -69,17 +70,16 @@ INVARIANCE_DRIFT = 1e-6
 MASS_BAND = 1e-6
 
 
-def in_blowup_set(values: tuple[float, float, float, float],
-                  ref: FunctionalReport, slack: float) -> bool:
+def in_blowup_set(state: FunctionalReport, ref: FunctionalReport,
+                  slack: float) -> bool:
     """The one statement of the blowup set B_omega = {S < S(phi),
     mass <= mass(phi), K < 0, Q < 0}, phi the ground state with report
-    ``ref``: true when values = (S, mass, K, Q) has S - S(phi) below
+    ``ref``: true when the report ``state`` has S - S(phi) below
     slack * |S(phi)|, mass - mass(phi) at most (``MASS_BAND`` + slack) *
     mass(phi), and K, Q strictly negative."""
-    action, mass, nehari, virial = values
-    return bool(action - ref.action < slack * abs(ref.action)
-                and mass - ref.mass <= (MASS_BAND + slack) * ref.mass
-                and nehari < 0 and virial < 0)
+    return bool(state.action - ref.action < slack * abs(ref.action)
+                and state.mass - ref.mass <= (MASS_BAND + slack) * ref.mass
+                and state.nehari < 0 and state.virial < 0)
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,11 @@ class EvolutionConfig:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(FunctionalReport):
+    """The report of the state at time t, with its variance ||xu||^2 and
+    sup|u|."""
+
     t: float
-    mass: float
-    energy: float
-    action: float
-    nehari: float
-    virial_q: float
-    grad_norm_sq: float
     variance: float
     sup_amp: float
 
@@ -131,11 +128,9 @@ class BlowupVerdict:
 
 def _record(t: float, u: np.ndarray, grid: PeriodicGrid,
             params: Params) -> TraceRecord:
-    fld = ComplexField(grid, u)
     var = float(np.sum(grid.x ** 2 * np.abs(u) ** 2) * grid.spacing)
-    rep = functionals(fld, params)
-    return TraceRecord(t, rep.mass, rep.energy, rep.action, rep.nehari,
-                       rep.virial, rep.grad, var, float(np.max(np.abs(u))))
+    return TraceRecord(**asdict(functionals(ComplexField(grid, u), params)),
+                       t=t, variance=var, sup_amp=float(np.max(np.abs(u))))
 
 
 class _SpectralStepper:
@@ -235,8 +230,9 @@ def evolve(u0: ComplexField, params: Params, cfg: EvolutionConfig) -> BlowupVerd
 
         # a non-finite sample of u makes every Fourier coefficient non-finite
         if not (np.isfinite(amp) and np.isfinite(grad_sq)):
-            trace.append(TraceRecord(t, np.nan, np.nan, np.nan, np.nan,
-                                     np.nan, np.nan, np.nan, np.inf))
+            nan = report_from_norms(*[np.nan] * 4, params)
+            trace.append(TraceRecord(**asdict(nan), t=t, variance=np.nan,
+                                     sup_amp=np.inf))
             return BlowupVerdict(t, "numerical", trace, None,
                                  step, reductions, dt, grids)
 
@@ -315,7 +311,7 @@ def virial_check(trace: list[TraceRecord]) -> float:
     state, so on a standing wave a relative denominator would divide the
     finite-difference error by a number near zero."""
     d2 = _variance_derivative(trace, 2)
-    q8 = 8.0 * np.array([rec.virial_q for rec in trace])
+    q8 = 8.0 * np.array([rec.virial for rec in trace])
     denom = np.maximum(1.0, np.abs(q8[1:-1]))
     return float(np.max(np.abs(d2 - q8[1:-1]) / denom))
 
@@ -357,16 +353,13 @@ def b_omega_invariance_audit(verdict: BlowupVerdict,
     8 Q(u(t)) <= 16 (S(u0) - S(phi)).  S(u(t)) is bounded from above only,
     so a breakdown of conservation shows in the run's energy drift
     (``conservation_drift``), not in this audit."""
-    def values(rec: TraceRecord):
-        return rec.action, rec.mass, rec.nehari, rec.virial_q
-
     first = verdict.trace[0]
-    if not in_blowup_set(values(first), ref, 0.0):
+    if not in_blowup_set(first, ref, 0.0):
         raise MembershipError("run did not start inside the blowup set")
     bound = 16.0 * (first.action - ref.action)
     return all(
-        in_blowup_set(values(rec), ref, INVARIANCE_DRIFT)
-        and 8.0 * rec.virial_q <= bound + INVARIANCE_DRIFT * abs(bound)
+        in_blowup_set(rec, ref, INVARIANCE_DRIFT)
+        and 8.0 * rec.virial <= bound + INVARIANCE_DRIFT * abs(bound)
         for rec in audit_window(verdict))
 
 

@@ -39,9 +39,9 @@ CRITERION_BAND = 1e-8
 
 @dataclass(frozen=True)
 class StabilityReport:
-    omega: float
-    d2s: float
-    energy: float
+    """What ``classify`` decides; the values it reads stay in the ground
+    state's report."""
+
     criterion_met: bool
     remark13_consistent: bool
 
@@ -67,7 +67,7 @@ def classify(gs: GroundStateResult) -> StabilityReport:
     band = CRITERION_BAND * abs(r.action)
     consistent = (not (r.energy > band and r.d2s >= -band)
                   and abs(sum(remark13_decomposition(r, params)) - r.d2s) <= band)
-    return StabilityReport(params.omega, r.d2s, r.energy, r.d2s <= band, consistent)
+    return StabilityReport(r.d2s <= band, consistent)
 
 
 def _embed(gs: GroundStateResult, lam: float,
@@ -96,7 +96,7 @@ def make_scaled_data(gs: GroundStateResult, lam: float,
         raise PreconditionError(f"lambda must be finite and exceed 1, got {lam!r}")
     u0 = _embed(gs, lam, grid)
     rv, rg = functionals(u0, gs.params), gs.report
-    if not in_blowup_set((rv.action, rv.mass, rv.nehari, rv.virial), rg, 0.0):
+    if not in_blowup_set(rv, rg, 0.0):
         margins = (rv.action - rg.action, rv.mass - rg.mass, rv.nehari,
                    rv.virial)
         raise MembershipError(f"embedded state not in the blowup set: "
@@ -185,7 +185,7 @@ def omega_sweep(params: Params, omegas) -> list[dict]:
             row["status"] = f"error: {exc}"
         else:
             row.update(amplitude=gs.amplitude, action=gs.report.action,
-                       energy=rep.energy, d2s=rep.d2s,
+                       energy=gs.report.energy, d2s=gs.report.d2s,
                        criterion_met=rep.criterion_met,
                        **asdict(gs.diagnostics))
             if not rep.remark13_consistent:

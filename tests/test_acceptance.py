@@ -76,11 +76,12 @@ def test_criterion_2_decomposition_identity(sweep):
     ok = True
     for w in SWEEP_OMEGAS:
         gs = sweep[w]
-        rep = classify(gs)
-        parts = remark13_decomposition(gs.report, gs.params)
-        ok &= abs(sum(parts) - gs.report.d2s) <= 1e-8 * abs(gs.report.d2s)
-        if rep.energy > 0:
-            ok &= rep.d2s < 0
+        r = gs.report
+        parts = remark13_decomposition(r, gs.params)
+        ok &= abs(sum(parts) - r.d2s) <= 1e-8 * abs(r.d2s)
+        if r.energy > 0:
+            ok &= r.d2s < 0
+        ok &= classify(gs).remark13_consistent
     _verdict("criterion 2: three-term d2s identity and "
              "positive-energy implication", ok)
 
@@ -107,13 +108,16 @@ def test_criterion_4_key_estimate(gs1):
     profs = lemma_lab.perturbed_profiles(gs1, rng, 600)
     reports.extend(functionals(p, gs1.params) for p in profs)
 
+    # only the hypotheses filter; a kept state that fails a chain step
+    # raises and fails the criterion
     kept = 0
     ok = True
     for rep in reports:
         try:
-            chk = lemma_lab.key_estimate_check(rep, gs1)
+            lemma_lab.check_hypotheses(rep, gs1)
         except PreconditionError:
             continue
+        chk = lemma_lab.key_estimate_check(rep, gs1)
         kept += 1
         ok &= chk.margin >= -1e-8 * abs(chk.rhs)
     ok &= kept >= 200

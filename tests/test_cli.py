@@ -2,6 +2,7 @@
 and seeded determinism."""
 
 import csv
+import importlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,8 +13,11 @@ from dpnls import evolution, stability
 from dpnls import cli
 from dpnls.cli import ExperimentConfig, main
 from dpnls.evolution import TraceRecord
+from dpnls.params import PeriodicGrid
 
 from conftest import BASE
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 def write_config(path, **overrides):
@@ -126,14 +130,62 @@ class TestConfig:
         assert isinstance(cfg.line_grid.m, int) and isinstance(cfg.seed, int)
 
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(
-            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.syspath_prepend(PERFBENCH)
         import workloads
         for name in workloads.WORKLOADS:
             _, cfg = workloads.config(name, 0)
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
             ExperimentConfig.from_file(path)
+
+    #: Hooks the benchmark still names that the package deleted; the set
+    #: empties when the benchmark drops them (ROADMAP item 11).
+    STALE_HOOKS = {"groundstate.decay_fit", "evolution.uniform_prefix"}
+
+    def test_benchmark_hooks_resolve(self, monkeypatch):
+        # every hook the tracer requires or wraps, and every audit the layer
+        # metrics sum, is a callable its dpnls module defines, or an FFT
+        # entry point the tracer wraps: a deletion that leaves a hook
+        # behind fails here
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import layers
+        import tracer
+
+        def resolves(name):
+            if name.startswith("fft."):
+                module, attr = name.removeprefix("fft.").rsplit(".", 1)
+                return (module in tracer.FFT_MODULES and callable(
+                    getattr(importlib.import_module(module), attr, None)))
+            head, *attrs = name.split(".")
+            module = importlib.import_module(f"dpnls.{head}")
+            obj = getattr(module, attrs[0], None)
+            if getattr(obj, "__module__", None) != module.__name__:
+                return False
+            for attr in attrs[1:]:
+                obj = getattr(obj, attr, None)
+            return callable(obj)
+
+        names = {*tracer.REQUIRED, *layers.AUDITS,
+                 *(f"{module}.{name}" for module, extra in tracer.EXTRA.items()
+                   for name in extra)}
+        assert {name for name in names if not resolves(name)} == self.STALE_HOOKS
+
+    def test_benchmark_drift_is_the_package_drift(self, gs1, monkeypatch):
+        # the tracer restates conservation_drift from the attributes of the
+        # trace records; on a detected blowup, whose record at detection
+        # lies outside the window, both give the same two numbers
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import tracer
+        monkeypatch.setattr(evolution, "BLOWUP_GRAD_FACTOR", 10.0)
+        u0 = stability.make_scaled_data(gs1, 1.5, PeriodicGrid(32.0, 8192))
+        verdict = evolution.evolve(u0, gs1.params,
+                                   evolution.EvolutionConfig(1e-3, 5.0, 20))
+        assert verdict.blew_up
+        assert len(evolution.audit_window(verdict)) < len(verdict.trace)
+        info = tracer._evolve_info((u0, gs1.params), {}, verdict)
+        drift = evolution.conservation_drift(verdict)
+        assert (info["mass_drift"], info["energy_drift"]) == drift
+        assert drift[1] > 0
 
     def test_readme_example_lists_every_key(self):
         # the README says a key its example does not show is a config error
@@ -335,7 +387,8 @@ class TestBlowupCommand:
     def test_one_trace_file_per_lambda(self, tmp_path, monkeypatch):
         # lambdas that agree to six digits still get a trace file each
         def stub_run(gs, lam, grid, cfg):
-            record = TraceRecord(lam, *[0.0] * 8)
+            record = TraceRecord(*[0.0] * 10, t=lam, variance=0.0,
+                                 sup_amp=0.0)
             return {"lambda": lam}, SimpleNamespace(trace=[record])
         monkeypatch.setattr(cli, "solve_ground_state", lambda *a: None)
         monkeypatch.setattr(stability, "blowup_run", stub_run)

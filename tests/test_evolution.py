@@ -7,7 +7,7 @@ not the integrator.
 """
 
 import re
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -116,6 +116,33 @@ class TestBasics:
         assert [rec.t for rec in verdict.trace] == pytest.approx(
             [0.0, 5e-3, 7e-3])
 
+    def test_non_finite_step_is_inconclusive(self, params1, monkeypatch):
+        # the third step returns NaN samples: the run stops there, and its
+        # last record, of NaN functionals, lies outside the audit window
+        step = evolution._SpectralStepper.step
+        calls = []
+
+        def failing_step(self, u, dt):
+            calls.append(dt)
+            if len(calls) == 3:
+                return np.full_like(u, np.nan), np.nan
+            return step(self, u, dt)
+
+        monkeypatch.setattr(evolution._SpectralStepper, "step", failing_step)
+        grid = PeriodicGrid(20.0, 256)
+        u0 = ComplexField(grid, 0.5 * np.exp(-grid.x ** 2 / 2).astype(complex))
+        verdict = evolve(u0, params1, EvolutionConfig(dt=1e-3, t_max=1.0,
+                                                      record_every=1))
+        assert verdict.reason == "numerical"
+        assert verdict.inconclusive and verdict.final is None
+        assert verdict.steps == 3 and len(verdict.trace) == 4
+        last = verdict.trace[-1]
+        assert last.t == verdict.t_detect
+        assert all(np.isnan(getattr(last, f.name))
+                   for f in fields(FunctionalReport))
+        assert np.isnan(last.variance) and last.sup_amp == np.inf
+        assert audit_window(verdict) == verdict.trace[:-1]
+
 
 class TestSpectralMonitor:
     @pytest.mark.parametrize("m", [5, 8, 10, 17, 512, 65536])
@@ -144,7 +171,11 @@ class TestSpectralMonitor:
         ((m0, _),) = verdict.grids
         start = PeriodicGrid(grid.length, m0)
         u = np.array(u0.values[::grid.m // m0], dtype=complex)
-        assert verdict.trace[0].grad_norm_sq == _line_spectrum(u, start)[0]
+        first = verdict.trace[0]
+        assert first.grad == _line_spectrum(u, start)[0]
+        # a record is its state's report, field for field
+        want = asdict(functionals(ComplexField(start, u), gs1.params))
+        assert {name: getattr(first, name) for name in want} == want
 
 
 class TestProlongation:
@@ -240,7 +271,7 @@ class TestBlowup:
         # on which the gradient proxy's standing as the one detector rests
         _, verdict = blowup_run
         for rec in verdict.trace:
-            bound = np.sqrt(rec.mass * rec.grad_norm_sq)
+            bound = np.sqrt(rec.mass * rec.grad)
             assert rec.sup_amp ** 2 <= (1 + 1e-12) * bound, rec.t
 
     def test_invariance_audit(self, blowup_run, gs1):
@@ -311,16 +342,17 @@ class TestBlowup:
         assert verdict.inconclusive
 
 
-def synthetic_record(t, action, variance=0.0):
-    """A trace record of unit mass with K < 0 and Q < 0, 8 Q far below any
-    virial bound the tests use."""
-    return TraceRecord(t, 1.0, 0.0, action, -1.0, -1.0, 1.0, variance, 1.0)
-
-
 def synthetic_reference(action):
     """A reference report of unit mass and the given action S(phi)."""
     return FunctionalReport(1.0, 1.0, 1.0, 1.0, 0.0, action, 0.0, 0.0, 0.0,
                             0.0)
+
+
+def synthetic_record(t, action, variance=0.0):
+    """A trace record of unit mass with K < 0 and Q < 0, 8 Q far below any
+    virial bound the tests use."""
+    report = replace(synthetic_reference(action), nehari=-1.0, virial=-1.0)
+    return TraceRecord(**asdict(report), t=t, variance=variance, sup_amp=1.0)
 
 
 def synthetic_run(times, action, variance, t_detect=None):
@@ -355,7 +387,7 @@ class TestAuditBands:
         # exact at any spacing, so the virial mismatch is rounding; the
         # envelope is 1 - 8e-4 t^2, T* = 35.4, past every record
         trace = [replace(synthetic_record(t, 0.9e-3, 1.0 + k * t ** 2),
-                         virial_q=k / 4.0) for t in self.UNEVEN]
+                         virial=k / 4.0) for t in self.UNEVEN]
         assert virial_check(trace) <= 1e-12
         run = BlowupVerdict(None, None, trace, None, 1, 0, 1.0, [])
         assert concavity_audit(run, synthetic_reference(1e-3), 0.0) == (k < 0)
@@ -441,9 +473,9 @@ class TestAuditBands:
         ("nehari", 0.0),
         # Q = 0 also breaks the virial bound, which is negative whenever
         # the run starts inside the set
-        ("virial_q", 0.0),
+        ("virial", 0.0),
         # Q < 0, but 8 Q = bound + 8e-9 against the slack 1e-6 |bound|
-        ("virial_q", -2e-4 + 1e-9),
+        ("virial", -2e-4 + 1e-9),
     ])
     def test_invariance_rejects_each_condition_just_past_its_band(
             self, field, value):

@@ -38,20 +38,20 @@ class TestClassification:
     def test_criterion_met_at_omega_one(self, gs1):
         rep = classify(gs1)
         assert rep.criterion_met
-        assert rep.d2s == pytest.approx(-0.1429, abs=2e-3)
-        assert rep.energy < 0
+        assert gs1.report.d2s == pytest.approx(-0.1429, abs=2e-3)
+        assert gs1.report.energy < 0
         assert rep.remark13_consistent
 
     def test_criterion_fails_at_small_omega(self, gs_half):
         rep = classify(gs_half)
         assert not rep.criterion_met
-        assert rep.d2s > 0
+        assert gs_half.report.d2s > 0
         assert rep.remark13_consistent
 
     def test_positive_energy_forces_criterion(self, gs10):
         rep = classify(gs10)
-        assert rep.energy > 0
-        assert rep.criterion_met and rep.d2s < 0
+        assert gs10.report.energy > 0
+        assert rep.criterion_met and gs10.report.d2s < 0
         assert rep.remark13_consistent
 
     def test_band_scales_with_the_state(self, gs10):
@@ -113,33 +113,25 @@ class TestFirstIntegralOracle:
             d2s(row["omega"]) <= 0 for row in rows] == [False, True]
 
 
-def blowup_set_values(v, params):
-    """(S, mass, K, Q) of the state ``v``, the values ``in_blowup_set``
-    reads."""
-    r = functionals(v, params)
-    return r.action, r.mass, r.nehari, r.virial
-
-
 class TestMembership:
     def test_scaled_state_inside(self, gs1):
         u0 = make_scaled_data(gs1, 1.2, GRID)
-        values = blowup_set_values(u0, gs1.params)
-        assert in_blowup_set(values, gs1.report, 0.0)
-        s, mass, k, q = values
-        assert s < gs1.report.action and k < 0 and q < 0
-        assert abs(mass - gs1.report.mass) <= 1e-6 * gs1.report.mass
+        rep = functionals(u0, gs1.params)
+        assert in_blowup_set(rep, gs1.report, 0.0)
+        assert rep.action < gs1.report.action and rep.nehari < 0
+        assert rep.virial < 0
+        assert abs(rep.mass - gs1.report.mass) <= 1e-6 * gs1.report.mass
 
     def test_ground_state_on_boundary(self, gs1):
         u0 = _embed(gs1, 1.0, GRID)
         # phi sits on the boundary: S, K, Q margins all vanish
-        assert not in_blowup_set(blowup_set_values(u0, gs1.params),
-                                 gs1.report, 0.0)
+        assert not in_blowup_set(functionals(u0, gs1.params), gs1.report, 0.0)
 
     def test_zero_not_inside(self, gs1):
         from dpnls.params import ComplexField
         zero = ComplexField(GRID, np.zeros(GRID.m, dtype=complex))
-        assert not in_blowup_set(blowup_set_values(zero, gs1.params),
-                                 gs1.report, 0.0)
+        assert not in_blowup_set(functionals(zero, gs1.params), gs1.report,
+                                 0.0)
 
     def test_nehari_negative_along_scaling(self, gs1):
         # K(phi^lam) < 0 for every lam > 1, by the closed-form curve
