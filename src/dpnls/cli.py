@@ -2,8 +2,8 @@
 
 Commands read a JSON config of nested sections and write CSV/JSON results
 into the output directory.  The whole config is validated when it is read:
-a key the schema does not name, or a value its section rejects, is a
-config error.  Runs with a fixed seed are deterministic; a
+a key ``SCHEMA`` does not name, or a value its reader or its section
+rejects, is a config error.  Runs with a fixed seed are deterministic; a
 timestamp line in the summary can be suppressed with --no-timestamp for
 byte-identical reruns.
 """
@@ -20,69 +20,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import Params, PeriodicGrid
+from .params import Params, PeriodicGrid, is_count, is_real
 from .groundstate import solve_ground_state
 from .stability import blowup_sweep, omega_sweep
 from .evolution import EvolutionConfig
 from . import lemma_lab
 
 
-#: The keys each config section may hold; ``None`` marks a plain value.
-CONFIG_KEYS = {
-    "params": ("N", "a", "b", "p", "q", "omega"),
-    "evolution": ("length", "m", "dt", "t_max", "record_every"),
-    "sweeps": ("omegas", "lambdas"),
-    "lemma": ("pairs", "lambda_points", "samples"),
-    "seed": None,
-}
-
-
-def _check_keys(raw):
-    """Raise ValueError naming the first key CONFIG_KEYS does not list."""
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    for section, value in raw.items():
-        if section not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {section!r}")
-        allowed = CONFIG_KEYS[section]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        for key in value:
-            if key not in allowed:
-                raise ValueError(f"unknown config key {section}.{key!r}")
-
-
-def _value(raw: dict, name: str, kind, default=None):
-    """The config value at "section.key" or a top-level key, converted by
-    ``kind``; ``default`` if absent.  Every ValueError names the key."""
-    section, _, key = name.rpartition(".")
-    where = raw.get(section, {}) if section else raw
-    if key not in where:
-        if default is None:
-            raise ValueError(f"{name} is missing")
-        return default
-    try:
-        return kind(where[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _whole(value) -> int:
-    """An integer config value, a count or a seed: a non-negative whole
+def _whole(least: int = 0):
+    """The reader of an integer config value of at least ``least``: a whole
     number such as 2 or 2.0."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise ValueError(f"expected a non-negative whole number, got {value!r}")
+    def read(value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if is_count(value, least):
+            return value
+        raise ValueError(f"expected a whole number of at least {least}, "
+                         f"got {value!r}")
+    return read
 
 
 def _real(value) -> float:
     """A finite int or float config value; not a bool, a string, NaN or inf."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and np.isfinite(float(value))):
+    if is_real(value):
         return float(value)
     raise ValueError(f"expected a finite number, got {value!r}")
 
@@ -91,7 +51,49 @@ def _floats(values) -> list[float]:
     return [_real(v) for v in values]
 
 
-@dataclass
+#: The config's one schema: each section's keys, and each key's reader and
+#: default, where ``None`` marks a required key.  A key's reader holds its
+#: minimum, except where the object built from it checks its own (N, m,
+#: record_every).
+SCHEMA = {
+    "params": {"N": (_whole(), None), "a": (_real, None), "b": (_real, None),
+               "p": (_real, None), "q": (_real, None), "omega": (_real, None)},
+    "evolution": {"length": (_real, 32.0), "m": (_whole(), 65536),
+                  "dt": (_real, 5e-4), "t_max": (_real, 60.0),
+                  "record_every": (_whole(), EvolutionConfig.record_every)},
+    "sweeps": {"omegas": (_floats, []), "lambdas": (_floats, [])},
+    "lemma": {"pairs": (_whole(1), 100), "lambda_points": (_whole(2), 10000),
+              "samples": (_whole(1), 200)},
+    "seed": (_whole(), 0),
+}
+
+
+def _read(raw, schema: dict = SCHEMA, prefix: str = "") -> dict:
+    """The values of ``raw`` by ``schema``, in its shape: each key's value,
+    or its default if absent, read by its reader.  An unknown key, a missing
+    required one or a value its reader rejects raises a ValueError naming
+    the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
+    for key in raw:
+        if key not in schema:
+            raise ValueError(f"unknown config key {prefix}{key!r}")
+    values = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            values[key] = _read(raw.get(key, {}), spec, f"{prefix}{key}.")
+            continue
+        kind, default = spec
+        if key not in raw and default is None:
+            raise ValueError(f"{prefix}{key} is missing")
+        try:
+            values[key] = kind(raw.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{prefix}{key}: {exc}") from None
+    return values
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A run's whole configuration, validated when ``from_file`` reads it."""
 
@@ -106,35 +108,26 @@ class ExperimentConfig:
     seed: int
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        """Read a config and build every field; a bad key or value raises."""
+    def from_file(cls, path: str | Path,
+                  seed: int | None = None) -> "ExperimentConfig":
+        """Read a config and build every field; a bad key or value raises.
+        A ``seed`` other than None replaces the config's and is read like it."""
         raw = json.loads(Path(path).read_text())
-        _check_keys(raw)
-        params = Params(_value(raw, "params.N", _whole),
-                        *(_value(raw, f"params.{key}", _real)
-                          for key in ("a", "b", "p", "q", "omega")))
-        line_grid = PeriodicGrid(_value(raw, "evolution.length", _real, 32.0),
-                                 _value(raw, "evolution.m", _whole, 65536))
-        evolution = EvolutionConfig(
-            dt=_value(raw, "evolution.dt", _real, 5e-4),
-            t_max=_value(raw, "evolution.t_max", _real, 60.0),
-            record_every=_value(raw, "evolution.record_every", _whole,
-                                EvolutionConfig.record_every))
-        pairs = _value(raw, "lemma.pairs", _whole, 100)
-        lambda_points = _value(raw, "lemma.lambda_points", _whole, 10000)
-        samples = _value(raw, "lemma.samples", _whole, 200)
-        if min(pairs, samples, lambda_points - 1) < 1:
-            raise ValueError("lemma needs pairs, samples >= 1, lambda_points >= 2")
+        if seed is not None and isinstance(raw, dict):
+            raw = {**raw, "seed": seed}
+        values = _read(raw)
+        evolution, lemma = values["evolution"], values["lemma"]
         return cls(
-            params=params,
-            line_grid=line_grid,
-            evolution=evolution,
-            omegas=_value(raw, "sweeps.omegas", _floats, []),
-            lambdas=_value(raw, "sweeps.lambdas", _floats, []),
-            lemma_pairs=pairs,
-            lemma_lambda_points=lambda_points,
-            lemma_samples=samples,
-            seed=_value(raw, "seed", _whole, 0),
+            params=Params(**values["params"]),
+            line_grid=PeriodicGrid(evolution["length"], evolution["m"]),
+            evolution=EvolutionConfig(evolution["dt"], evolution["t_max"],
+                                      evolution["record_every"]),
+            omegas=values["sweeps"]["omegas"],
+            lambdas=values["sweeps"]["lambdas"],
+            lemma_pairs=lemma["pairs"],
+            lemma_lambda_points=lemma["lambda_points"],
+            lemma_samples=lemma["samples"],
+            seed=values["seed"],
         )
 
 
@@ -255,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.seed = _value(vars(args), "seed", _whole)
+        cfg = ExperimentConfig.from_file(args.config, args.seed)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

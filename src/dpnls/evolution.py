@@ -42,7 +42,7 @@ import numpy as np
 import scipy.fft
 
 from .params import (ComplexField, MembershipError, Params, PeriodicGrid,
-                     PreconditionError, is_count)
+                     PreconditionError, is_count, is_real)
 from .functionals import (FunctionalReport, _line_spectrum, functionals,
                           report_from_norms)
 
@@ -89,7 +89,8 @@ class EvolutionConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf):
+        if not (is_real(self.dt) and is_real(self.t_max)
+                and 0 < self.dt and 0 < self.t_max):
             raise PreconditionError(f"dt and t_max must be positive, got {self}")
         if not is_count(self.record_every, 1):
             raise PreconditionError(f"record_every must be an integer of at "

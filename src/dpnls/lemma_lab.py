@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .params import Params, PreconditionError, RadialGrid, RadialProfile
+from .params import (Params, PreconditionError, RadialGrid, RadialProfile,
+                     is_count, is_real)
 from .functionals import (
     FunctionalReport,
     at_scale,
@@ -46,7 +47,8 @@ class ExponentPair:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 2.0 < self.beta):
+        if not (is_real(self.alpha) and is_real(self.beta)
+                and 0.0 < self.alpha < 2.0 < self.beta):
             raise PreconditionError(f"need 0 < alpha < 2 < beta, got {self}")
 
 
@@ -116,18 +118,25 @@ def g1_fn(lam, ep: ExponentPair):
 
 
 def sample_exponent_pairs(rng: np.random.Generator, count: int) -> list[ExponentPair]:
-    """Random admissible pairs, alpha in (0.05, 1.95), beta in (2.05, 6)."""
+    """``count`` >= 1 random admissible pairs, alpha in (0.05, 1.95), beta
+    in (2.05, 6)."""
+    if not is_count(count, 1):
+        raise PreconditionError(f"need at least 1 exponent pair, got {count!r}")
     al = rng.uniform(0.05, 1.95, size=count)
     be = rng.uniform(2.05, 6.0, size=count)
     return [ExponentPair(float(a), float(b)) for a, b in zip(al, be)]
 
 
 def sign_suite(pairs, points: int) -> list[dict]:
-    """Worst-case values of h, g1, g2, g3 over a grid of ``points``
-    lambdas per pair.
+    """Worst-case values of h, g1, g2, g3 over a grid of ``points`` >= 2
+    lambdas per pair, for at least one pair.
 
     The grid stays 1e-6 away from both endpoints; all four vanish at 1.
     """
+    if not is_count(len(pairs), 1):
+        raise PreconditionError(f"need at least 1 exponent pair, got {len(pairs)}")
+    if not is_count(points, 2):
+        raise PreconditionError(f"need at least 2 lambda points, got {points!r}")
     lam_grid = np.linspace(1e-6, 1.0 - 1e-6, points)
     rows = []
     for ep in pairs:
@@ -148,8 +157,9 @@ def sign_suite(pairs, points: int) -> list[dict]:
 def signs_hold(rows) -> bool:
     """h >= 0, g1 >= 0, g2 <= 0 and g3 >= 0 on every ``sign_suite`` row,
     exactly, with no slack: each is read from expm1 terms that vanish at
-    lambda = 1 by construction, so a wrong sign next to 1 is not rounding."""
-    return all(r["h_min"] >= 0 and r["g1_min"] >= 0
+    lambda = 1 by construction, so a wrong sign next to 1 is not rounding.
+    No row certifies nothing."""
+    return bool(rows) and all(r["h_min"] >= 0 and r["g1_min"] >= 0
                and r["g2_max"] <= 0 and r["g3_min"] >= 0 for r in rows)
 
 
@@ -265,7 +275,11 @@ def key_estimate_audit(gs: GroundStateResult, rng: np.random.Generator,
     A kept state that fails a step of the proof's chain raises
     PreconditionError; ``ok`` means ``samples`` states were kept and every
     margin is >= -CHAIN_RTOL |rhs|, relative to the estimate's own size.
+    ``samples`` must be at least 1.
     """
+    if not is_count(samples, 1):
+        raise PreconditionError(
+            f"need at least 1 key-estimate sample, got {samples!r}")
     checks = []
     for _ in range(3 * samples):
         (prof,) = perturbed_profiles(gs, rng, 1)

@@ -52,6 +52,12 @@ def is_count(value, least: int) -> bool:
             and not isinstance(value, bool) and value >= least)
 
 
+def is_real(value) -> bool:
+    """A finite Python or NumPy int or float, not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and -np.inf < value < np.inf)
+
+
 @dataclass(frozen=True)
 class Params:
     """Equation parameters (N, a, b, p, q, omega) with derived scaling exponents.
@@ -78,12 +84,12 @@ class Params:
         if not is_count(self.N, 1):
             raise PreconditionError(
                 f"N must be a positive integer, got {self.N}")
-        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
+        if not (is_real(self.a) and is_real(self.b) and 0 < self.a and 0 < self.b):
             raise PreconditionError(f"a, b must be positive: a={self.a}, b={self.b}")
-        if not 0 < self.omega < np.inf:
+        if not (is_real(self.omega) and 0 < self.omega):
             raise PreconditionError(f"omega must be positive: omega={self.omega}")
         lo = 1.0 + 4.0 / self.N
-        if not (1.0 < self.p < lo < self.q < np.inf):
+        if not (is_real(self.p) and is_real(self.q) and 1.0 < self.p < lo < self.q):
             raise PreconditionError(
                 f"need 1 < p < {lo} < q < inf, got p={self.p}, q={self.q}")
         if self.N >= 3 and self.q >= 1.0 + 4.0 / (self.N - 2):
@@ -114,7 +120,7 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not 0 < self.rmax < np.inf:
+        if not (is_real(self.rmax) and 0 < self.rmax):
             raise PreconditionError(f"rmax must be positive, got {self.rmax!r}")
         if not is_count(self.n, 2):
             raise PreconditionError(
@@ -137,7 +143,7 @@ class PeriodicGrid:
     m: int
 
     def __post_init__(self):
-        if not 0 < self.length < np.inf:
+        if not (is_real(self.length) and 0 < self.length):
             raise PreconditionError(f"length must be positive, got {self.length!r}")
         if not is_count(self.m, 2):
             raise PreconditionError(

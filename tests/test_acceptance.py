@@ -119,7 +119,7 @@ def test_criterion_4_key_estimate(gs1):
             continue
         chk = lemma_lab.key_estimate_check(rep, gs1)
         kept += 1
-        ok &= chk.margin >= -1e-8 * abs(chk.rhs)
+        ok &= chk.margin >= -lemma_lab.CHAIN_RTOL * abs(chk.rhs)
     ok &= kept >= 200
     _verdict(f"criterion 4: key estimate on {kept} filtered states", ok)
 

@@ -65,6 +65,8 @@ class TestConfig:
         ({"evolution": {"record_every": 0}}, "record_every"),
         ({"solver": {"tol": 1e-3}}, "solver"),
         ({"lemma": {"lambda_points": 1}}, "lambda_points"),
+        ({"lemma": {"samples": 0}}, "lemma.samples"),
+        ({"lemma": {"pairs": 0}}, "lemma.pairs"),
         ({"out": "results"}, "out"),
         ({"evolution": {"dt": None}}, "evolution.dt"),
         ({"params": {**BASE, "N": "one", "omega": 1.0}}, "params.N"),
@@ -188,13 +190,23 @@ class TestConfig:
         assert drift[1] > 0
 
     def test_readme_example_lists_every_key(self):
-        # the README says a key its example does not show is a config error
+        # the README says a key its example does not show is a config error,
+        # and the example shows the schema's default of every optional
+        # scalar, so a changed default cannot leave it stale
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Example config:")[1]
         example = json.loads(block.split("```json")[1].split("```")[0])
-        shown = {section: tuple(value) if isinstance(value, dict) else None
-                 for section, value in example.items()}
-        assert shown == cli.CONFIG_KEYS
+
+        def keys(config):
+            return {section: tuple(value) if isinstance(value, dict) else None
+                    for section, value in config.items()}
+        assert keys(example) == keys(cli.SCHEMA)
+        for section in ("evolution", "lemma"):
+            for key, value in example[section].items():
+                _, default = cli.SCHEMA[section][key]
+                assert value == default, f"{section}.{key}"
+        _, default = cli.SCHEMA["seed"]
+        assert example["seed"] == default
 
     def test_readme_block_names_every_command(self):
         # the README's command-line block is the one front end's usage
@@ -425,13 +437,16 @@ class TestVerifyLemmaCommand:
         assert summary["key_estimate_samples"] == 20
 
     def test_deterministic_with_seed(self, tmp_path):
+        # --seed 5 over a config seed 0 reruns the config seed 5
         path = self.config(tmp_path)
-        outs = []
-        for name in ("o1", "o2"):
-            out = tmp_path / name
-            assert run("verify-lemma", "--config", path, "--out", out,
-                       "--seed", 5, "--no-timestamp") == 0
-            outs.append(out)
+        zero = json.loads(path.read_text())
+        zero["seed"] = 0
+        (tmp_path / "zero.json").write_text(json.dumps(zero))
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        assert run("verify-lemma", "--config", path, "--out", outs[0],
+                   "--no-timestamp") == 0
+        assert run("verify-lemma", "--config", tmp_path / "zero.json",
+                   "--out", outs[1], "--seed", 5, "--no-timestamp") == 0
         for fname in ("sign_suite.csv", "key_estimate.csv",
                       "lemma_summary.json"):
             a = (outs[0] / fname).read_bytes()

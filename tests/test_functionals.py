@@ -21,6 +21,8 @@ from dpnls.functionals import (
     report_from_norms,
     sphere_area,
 )
+from dpnls.evolution import EvolutionConfig
+from dpnls.lemma_lab import ExponentPair
 from conftest import gaussian_field, h1_distance
 
 SQRT_PI = np.sqrt(np.pi)
@@ -67,6 +69,25 @@ def gauss_integral(k):
      "need an integer count of at least 2 nodes, got True"),
     (lambda: PeriodicGrid(32.0, np.int64(1)), PreconditionError,
      "need an integer count of at least 2 nodes, got np.int64(1)"),
+    # a real value is an int or a float, not a bool or a string
+    (lambda: Params(1, True, 1, 3, 7, 1), PreconditionError,
+     "a, b must be positive: a=True, b=1"),
+    (lambda: Params(1, 1, 1, 3, 7, True), PreconditionError,
+     "omega must be positive: omega=True"),
+    (lambda: Params(1, "1", 1, 3, 7, 1), PreconditionError,
+     "a, b must be positive: a=1, b=1"),
+    (lambda: Params(1, 1, 1, "3", 7, 1), PreconditionError,
+     "need 1 < p < 5.0 < q < inf, got p=3, q=7"),
+    (lambda: PeriodicGrid(True, 16), PreconditionError,
+     "length must be positive, got True"),
+    (lambda: RadialGrid(True, 10), PreconditionError,
+     "rmax must be positive, got True"),
+    (lambda: RadialGrid("10", 10), PreconditionError,
+     "rmax must be positive, got '10'"),
+    (lambda: EvolutionConfig(dt=True, t_max=1.0), PreconditionError,
+     "dt and t_max must be positive"),
+    (lambda: ExponentPair(True, 3.0), PreconditionError,
+     "need 0 < alpha < 2 < beta"),
 ])
 def test_non_finite_sizes_are_rejected(build, error, message):
     # NaN and inf fail each range check, a node count must be an integer,

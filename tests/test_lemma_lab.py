@@ -154,6 +154,8 @@ class TestSignSuite:
         row = {"h_min": 0.0, "g1_min": 0.0, "g2_max": 0.0, "g3_min": 0.0}
         assert signs_hold([row])
         assert not signs_hold([dict(row, g2_max=1e-12)])
+        # no row certifies nothing
+        assert not signs_hold([])
 
     def test_points_set_the_grid(self):
         (row,) = sign_suite([EP13], 3)
@@ -329,6 +331,19 @@ class TestKeyEstimate:
         with pytest.raises(PreconditionError, match=re.escape(
                 "v = 0: mass(v) = 0 <= 0")):
             check_hypotheses(empty, gs1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda gs: sample_exponent_pairs(np.random.default_rng(0), 0),
+         "need at least 1 exponent pair, got 0"),
+        (lambda gs: sign_suite([], 10), "need at least 1 exponent pair, got 0"),
+        (lambda gs: sign_suite([EP13], 1), "need at least 2 lambda points, got 1"),
+        (lambda gs: key_estimate_audit(gs, np.random.default_rng(0), 0),
+         "need at least 1 key-estimate sample, got 0"),
+    ])
+    def test_empty_verdicts_are_rejected(self, gs1, call, message):
+        # a sample of nothing cannot certify the lemma
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            call(gs1)
 
     def test_audit_short_of_samples_fails(self, gs1, monkeypatch):
         # fewer kept states than requested is not a pass, even with no
