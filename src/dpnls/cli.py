@@ -48,6 +48,10 @@ def _real(value) -> float:
 
 
 def _floats(values) -> list[float]:
+    """A list of finite numbers; a string, an object or a number where the
+    list belongs is rejected whole, not read element by element."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
     return [_real(v) for v in values]
 
 

@@ -3,14 +3,15 @@
 Every solve runs in normalised unknowns free of ω.  With s₀ the zero of
 ω - a s^{p-1} - b s^{q-1}, u(ξ) = φ(ξ/√ω)/s₀ solves -Δu + u = c u^p + c′ u^q
 with c = a s₀^{p-1}/ω and c′ = b s₀^{q-1}/ω: its amplitude floor is 1 and
-its width is 1 at every (a, b, ω).  The solver shoots on u(0) with bisection
-(overshoot = the trajectory crosses zero, undershoot = u' turns positive at
-positive u).  A shot has no horizon: it runs until it decides, so the
-bisection's stop width holds on every state.  The record of the last shot
-seeds a collocation BVP with the asymptotic Robin condition u' + u = 0 at
-the truncation point, on one fixed ξ-grid; the polish alone knows the
-domain.  The accepted profile is mapped back to r once and certified there
-by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
+its width is 1 at every (a, b, ω).  The solver brackets u(0) by shooting
+with a coarse bisection (overshoot = the trajectory crosses zero, undershoot
+= u' turns positive at positive u), ten halvings to a relative width of
+1e-3.  A shot has no horizon: it runs until it decides, so the bracket
+holds on every state.  The record of the last shot seeds a collocation BVP
+with the asymptotic Robin condition u' + u = 0 at the truncation point, on
+one fixed ξ-grid, and the polish sets the amplitude's remaining digits; it
+alone knows the domain.  The accepted profile is mapped back to r once and
+certified there by the exact identities K_ω(φ) = 0 and Q(φ) = 0.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ from .functionals import FunctionalReport, functionals, report_from_norms
 TAIL_FRACTION = 1e-10
 #: Relative tolerance for certifying |K| and |Q| against the action.
 IDENTITY_RTOL = 1e-6
-#: Relative width of the amplitude bracket at which bisection stops: it
-#: sets the 39 halvings of the bracket (s, 2s) and ``SHOT_RTOL``.
-BISECTION_WIDTH = 2e-12
-#: Relative tolerance of every shot: a shot must tell apart amplitudes half
-#: the stop width from the separatrix.
-SHOT_RTOL = BISECTION_WIDTH / 2.0
+#: Relative width of the amplitude bracket at which bisection stops: ten
+#: halvings of the bracket (s, 2s).  The bisection only brackets the ground
+#: state and picks the shot that seeds the polish; the polish sets every
+#: further digit, with the same mesh refinements as from a far finer bracket.
+BISECTION_WIDTH = 1e-3
+#: Relative tolerance of every shot.  Shots still classify amplitudes 1e-11
+#: from the separatrix, and at this tolerance the seed record leaves the
+#: polish's meshes and answers unchanged.
+SHOT_RTOL = 1e-12
 #: Step budget of one classifying shot.  The worst admissible shot measured,
 #: at (N, p, q, ω) = (3, 1.825, 4.419, 25.378), takes about 250 steps, half
 #: of scipy's default budget of 500; 5000 leaves a factor of 20.
@@ -66,6 +70,7 @@ class SolveDiagnostics:
     bracket_shots: int      # doublings of the amplitude floor to the bracket
     bisection_shots: int
     mesh_nodes: int         # collocation nodes of the accepted polish
+    polish_iterations: int  # solve_bvp iterations of the accepted polish
     extensions: int         # times the domain was lengthened
 
 
@@ -237,7 +242,8 @@ def _shoot_amplitude(params: Params):
     of the separatrix."""
     lo, hi, doublings = find_bracket(params)
     bracket = (lo, hi)
-    # the bracket is (s, 2s), so 39 halvings reach its stop width
+    # the bracket is (s, 2s), so 10 halvings reach its stop width; each
+    # shoots at a midpoint, strictly above the floor 1, where no shot decides
     halvings = int(np.ceil(-np.log2(BISECTION_WIDTH)))
     for _ in range(halvings):
         mid = 0.5 * (lo + hi)
@@ -249,7 +255,7 @@ def _shoot_amplitude(params: Params):
 def _bvp_polish(params: Params, shot, rmax: float):
     """Collocation solve of the normalised parameters ``params`` (ω = 1)
     with u'(0) = 0 and the Robin decay u' + u = 0 at rmax.  Returns the
-    solution's interpolant and the mesh size."""
+    solution's interpolant, the mesh size and the iterations it took."""
     force = _forcing(params)
 
     def rhs(x, y):
@@ -284,7 +290,7 @@ def _bvp_polish(params: Params, shot, rmax: float):
         raise ConvergenceError(
             f"BVP polish at tol {POLISH_TOL:.0e} failed on {res.x.size} "
             f"nodes: {res.message}")
-    return res.sol, res.x.size
+    return res.sol, res.x.size, res.niter
 
 
 def _equation_residual(sol, params: Params, r: np.ndarray) -> float:
@@ -312,7 +318,7 @@ def solve_ground_state(params: Params) -> GroundStateResult:
     for extension in range(3):
         if extension:
             grid = RadialGrid(1.5 * grid.rmax, int(grid.n * 1.5))
-        sol, nodes = _bvp_polish(unit, shot, grid.rmax)
+        sol, nodes, iterations = _bvp_polish(unit, shot, grid.rmax)
         u, du = sol(grid.r)
         if not u[0] > 1.0:
             raise ConvergenceError(
@@ -335,7 +341,7 @@ def solve_ground_state(params: Params) -> GroundStateResult:
     profile = RadialProfile(RadialGrid(grid.r[cut - 1] / sw, cut),
                             s0 * u[:cut], s0 * sw * du[:cut])
     diagnostics = SolveDiagnostics(bracket_shots, bisection_shots, nodes,
-                                   extension)
+                                   iterations, extension)
     return GroundStateResult(profile, params, functionals(profile, params),
                              params.omega * s0 * unit_residual, unit_residual,
                              (s0 * lo, s0 * hi), diagnostics)

@@ -166,10 +166,11 @@ def omega_sweep(params: Params, omegas) -> list[dict]:
 
     One row per omega with omega, amplitude, action, energy, d2s,
     criterion_met, the solver's diagnostics (bracket_shots,
-    bisection_shots, mesh_nodes, extensions) and status: "ok",
-    "identity-check-failed", or "error: <message>" when the solve or the
-    classification raised one of the package's ``ERRORS``; such a row holds
-    NaN in place of every computed value, and the sweep goes on past it.
+    bisection_shots, mesh_nodes, polish_iterations, extensions) and
+    status: "ok", "identity-check-failed", or "error: <message>" when the
+    solve or the classification raised one of the package's ``ERRORS``;
+    such a row holds NaN in place of every computed value, and the sweep
+    goes on past it.
     """
     nan = float("nan")
     rows = []

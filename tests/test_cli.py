@@ -95,6 +95,15 @@ class TestConfig:
         ({"evolution": {"dt": float("inf")}}, "evolution.dt"),
         ({"evolution": {"length": -float("inf")}}, "evolution.length"),
         ({"seed": -1}, "seed"),
+        # a value where the list belongs is rejected whole, as not a list
+        ({"sweeps": {"omegas": "12"}},
+         "sweeps.omegas: expected a list of numbers, got '12'"),
+        ({"sweeps": {"omegas": {"a": 1}}},
+         "sweeps.omegas: expected a list of numbers, got {'a': 1}"),
+        ({"sweeps": {"omegas": 5}},
+         "sweeps.omegas: expected a list of numbers, got 5"),
+        ({"sweeps": {"omegas": None}},
+         "sweeps.omegas: expected a list of numbers, got None"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, monkeypatch,
                                overrides, key):
@@ -234,9 +243,12 @@ class TestGroundstateCommand:
         diag = json.loads((tmp_path / "groundstate.json").read_text())[
             "diagnostics"]
         assert sorted(diag) == ["bisection_shots", "bracket_shots",
-                                "extensions", "mesh_nodes"]
+                                "extensions", "mesh_nodes",
+                                "polish_iterations"]
         assert diag["bracket_shots"] > 0 and diag["bisection_shots"] > 0
         assert diag["mesh_nodes"] > 0 and diag["extensions"] == 0
+        assert type(diag["polish_iterations"]) is int
+        assert diag["polish_iterations"] > 0
 
     def test_summary_reports_both_residuals(self, tmp_path):
         # at φ(0) ≈ 1.6e-20 the r-residual is ω s0 times the normalised
@@ -273,16 +285,17 @@ class TestClassifyCommand:
         lines = (out / "classify.csv").read_text().splitlines()
         assert lines[0] == ("omega,amplitude,action,energy,d2s,criterion_met,"
                             "bracket_shots,bisection_shots,mesh_nodes,"
-                            "extensions,status")
+                            "polish_iterations,extensions,status")
         rows = [dict(zip(lines[0].split(","), l.split(",")))
                 for l in lines[1:]]
         assert [r["criterion_met"] for r in rows] == ["false", "true"]
         assert all(r["status"] == "ok" for r in rows)
-        # the doubling bracket is (s, 2s), so 39 halvings reach 2e-12
+        # the doubling bracket is (s, 2s), so 10 halvings reach 1e-3
         for r in rows:
             assert (r["bracket_shots"], r["bisection_shots"],
-                    r["extensions"]) == ("1", "39", "0")
+                    r["extensions"]) == ("1", "10", "0")
             assert int(r["mesh_nodes"]) >= 2001
+            assert int(r["polish_iterations"]) > 0
         summary = json.loads((out / "classify_summary.json").read_text())
         assert summary == {"rows": 2, "failures": 0}
 

@@ -74,12 +74,14 @@ class TestAmplitudeOracle:
         assert y ** 3 / 4.0 + y / 2.0 - 1.0 == pytest.approx(0.0, abs=1e-14)
         assert phi0 == pytest.approx(1.086052, abs=1e-5)
 
-    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 10.0, 50.0])
     def test_solver_matches_first_integral(self, omega):
+        # the bisection only brackets φ(0) to 1e-3: the polish sets the
+        # rest of its digits, and they must agree with the oracle
         params = Params(omega=omega, **BASE)
         gs = solve_ground_state(params)
         assert gs.amplitude == pytest.approx(
-            first_integral_amplitude(params), rel=1e-5
+            first_integral_amplitude(params), rel=1e-10
         )
 
     def test_floor_below_amplitude(self, params1, gs1):
@@ -282,7 +284,7 @@ class TestCertificates:
         grid = RadialGrid(DOMAIN_LENGTH,
                           int(DOMAIN_LENGTH * NODES_PER_WIDTH) + 1)
         shot = groundstate._shoot_amplitude(unit)[0]
-        sol, _ = groundstate._bvp_polish(unit, shot, grid.rmax)
+        sol = groundstate._bvp_polish(unit, shot, grid.rmax)[0]
         mid = 0.5 * (grid.r[1:] + grid.r[:-1])
         mid = mid[mid < 0.8 * grid.rmax]
         # at N = 1 the residual's formula at the first node is the interior
@@ -318,17 +320,13 @@ class TestSechOracle:
             residual_norm(sech_soliton(params, RadialGrid(20.0, 4)), params)
 
 
-def last_shot_amplitude(unit):
-    """u(0) of the last bisection shot of the normalised parameters
-    ``unit``, the first u of its record."""
-    _, y = groundstate._shoot_amplitude(unit)[0]
-    return y[0, 0]
-
-
-def normalised(N, p, q):
-    """The normalised parameters of a = b = 1, ω = 1 at (N, p, q)."""
-    return groundstate._normalised(
-        Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0))[1]
+def separatrix(N, p, q):
+    """(normalised parameters, separatrix) of a = b = 1, ω = 1 at (N, p, q):
+    the separatrix is the polished amplitude φ(0)/s0 of the solve, since
+    the bisection only brackets it to 1e-3."""
+    params = Params(N=N, a=1.0, b=1.0, p=p, q=q, omega=1.0)
+    s0, unit = groundstate._normalised(params)
+    return unit, solve_ground_state(params).amplitude / s0
 
 
 class TestShooting:
@@ -370,10 +368,8 @@ class TestShooting:
                                          (3, 1.5, 3.0)])
     def test_compiled_shot_matches_dense_events(self, N, p, q):
         # the compiled classification against the events of a solve_ivp
-        # shot, on both sides of the separatrix and down to five times the
-        # bisection stop width
-        unit = normalised(N, p, q)
-        amp = last_shot_amplitude(unit)
+        # shot, on both sides of the separatrix and down to 1e-11 from it
+        unit, amp = separatrix(N, p, q)
         for delta in (1e-3, 1e-8, 1e-11, 0.3, 0.5):
             for side in (-1, 1):
                 shot = amp * (1 + side * delta)
@@ -433,8 +429,7 @@ class TestShooting:
         # the float shot must reproduce every accepted step of the numpy
         # scalar one bit for bit, on both sides of the separatrix; a change
         # of the force's operation order moves the last bits and fails here
-        unit = normalised(N, p, q)
-        amp = last_shot_amplitude(unit)
+        unit, amp = separatrix(N, p, q)
         for side in (-1, 1):
             shot = amp * (1 + side * 1e-11)
             overshoots, r, y = shoot_classify(unit, shot)
@@ -455,8 +450,9 @@ class TestShooting:
         # the polish seed is the record of the last bisection shot up to the
         # step before the deciding one; it starts at (1e-12, u(0), 0) with
         # u(0) inside the bracket and s0 u(0) at the first-integral amplitude
-        # to the bisection width, and along it the line's first integral
-        # u'² = u² - 2c/(p+1) u^{p+1} - 2c′/(q+1) u^{q+1} holds
+        # to the bisection width, and the record keeps the line's first
+        # integral on its own level set, u'² - G(u) = -G(u(0)) with
+        # G(u) = u² - 2c/(p+1) u^{p+1} - 2c′/(q+1) u^{q+1}
         params = Params(N=1, a=1.0, b=1.0, p=p, q=q, omega=omega)
         s0, unit = groundstate._normalised(params)
         (x, y), (lo, hi), _, _ = groundstate._shoot_amplitude(unit)
@@ -466,27 +462,48 @@ class TestShooting:
         assert s0 * amp == pytest.approx(first_integral_amplitude(params),
                                          rel=BISECTION_WIDTH)
         assert np.all(np.diff(x) > 0)
-        u, du = y[:-1].T
         c, c1, p, q = unit.a, unit.b, unit.p, unit.q
-        G = u ** 2 - 2 * c / (p + 1) * u ** (p + 1) - 2 * c1 / (q + 1) * u ** (q + 1)
-        assert np.max(np.abs(du ** 2 - G)) <= 1e-10 * amp ** 2
+
+        def G(u):
+            return (u ** 2 - 2 * c / (p + 1) * u ** (p + 1)
+                    - 2 * c1 / (q + 1) * u ** (q + 1))
+
+        u, du = y[:-1].T
+        level = du ** 2 - G(u)
+        assert np.max(np.abs(level + G(amp))) <= 1e-10 * amp ** 2
 
     def test_solve_integrates_only_its_shots(self, monkeypatch):
         # the polish is seeded from the last bisection shot's record, so a
         # solve whose domain is extended once builds one integrator per
-        # bracket or bisection shot and none for its two polish attempts
-        built = []
+        # bracket or bisection shot and none for its two polish attempts;
+        # the shots are the doublings of the floor 1 to the bracket, then
+        # ten halvings inside it, and none is made at the floor itself
+        built, shots = [], []
 
         def counted_ode(*args, **kwargs):
             built.append(args)
             return ode(*args, **kwargs)
 
+        def spied_shot(params, amplitude):
+            shots.append(amplitude)
+            return shoot_classify(params, amplitude)
+
         monkeypatch.setattr(groundstate, "ode", counted_ode)
+        monkeypatch.setattr(groundstate, "shoot_classify", spied_shot)
         gs = solve_ground_state(Params(N=1, a=1.0, b=1.0, p=1.1, q=7.0,
                                        omega=1.0))
         diag = gs.diagnostics
         assert diag.extensions == 1
-        assert len(built) == diag.bracket_shots + diag.bisection_shots
+        assert diag.bisection_shots == 10
+        assert len(built) == len(shots) == (diag.bracket_shots
+                                            + diag.bisection_shots)
+        doublings, halvings = (shots[:diag.bracket_shots],
+                               shots[diag.bracket_shots:])
+        assert doublings == [2.0 ** k for k in
+                             range(1, diag.bracket_shots + 1)]
+        lo, hi = ([1.0] + doublings)[-2:]
+        assert all(lo < a < hi for a in halvings)
+        assert all(a > 1.0 for a in shots)
 
     def test_step_budget_raises(self, params1, monkeypatch):
         monkeypatch.setattr(groundstate, "MAX_SHOT_STEPS", 5)
@@ -529,7 +546,7 @@ class TestDomain:
         def collapsed(unit, shot, rmax):
             def sol(x, nu=0):
                 return sign * (-1.0) ** nu * np.array([np.exp(-x), -np.exp(-x)])
-            return sol, 2001
+            return sol, 2001, 1
 
         monkeypatch.setattr(groundstate, "_bvp_polish", collapsed)
         with warnings.catch_warnings():
